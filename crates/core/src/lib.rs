@@ -22,10 +22,13 @@
 //! * [`parallel`] — an opt-in crossbeam-based parallel assignment pass (the
 //!   paper's implementation is single-threaded; this shows the framework's
 //!   gains are orthogonal to thread-level parallelism).
+//! * [`centroid_index`] — the one LSH index over the *centroids* (MinHash
+//!   over modes, SimHash over means, or both), shared by serving,
+//!   mini-batch fitting and the centroid-linkage hierarchy.
 //! * [`minibatch`] — Sculley-style mini-batch fitting composed with the
 //!   shortlist: sampled batches are assigned through a periodically
-//!   refreshed LSH index over the *centroids*, for all three modalities
-//!   (the facade's `Fit::MiniBatch` discipline).
+//!   refreshed [`centroid_index`], for all three modalities (the facade's
+//!   `Fit::MiniBatch` discipline).
 //! * [`sim`] — the similarity-workloads candidate core: bucket-collision
 //!   candidate pairs over the same flat band-key buffers, exact-verified by
 //!   the modality's distance kernel (dedup / self-join in `lshclust::sim`).
@@ -72,6 +75,7 @@
 #![warn(missing_docs)]
 
 pub mod canopy;
+pub mod centroid_index;
 pub mod error_bound;
 pub mod framework;
 pub mod mhkmeans;

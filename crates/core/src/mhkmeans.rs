@@ -201,8 +201,8 @@ impl CentroidModel for KMeansModel<'_> {
 ///
 /// The hyperplane family and the centring vector are retained so unseen
 /// query vectors can be hashed into the same bucket universe
-/// ([`Self::shortlist_for_vector`], the serving path of `lshclust`'s
-/// `FittedModel`).
+/// ([`Self::shortlist_for_vector_with`], the SimHash side of
+/// [`crate::centroid_index::CentroidIndex`]).
 #[derive(Clone)]
 pub struct SimHashIndex {
     /// `n_items × bands` band keys, item-major.
@@ -403,23 +403,9 @@ impl SimHashIndex {
 
     /// Collects the distinct clusters of indexed items colliding with an
     /// **unseen vector**: the vector is centred with the index's stored mean,
-    /// hashed by the same hyperplane family, and its band buckets are probed.
-    /// This is the serving-time query of a centroid index.
-    ///
-    /// Allocating convenience wrapper; batch callers should hold a
-    /// [`VectorQueryScratch`] and use [`Self::shortlist_for_vector_with`].
-    pub fn shortlist_for_vector(
-        &self,
-        v: &[f64],
-        out: &mut Vec<ClusterId>,
-        seen: &mut FastSet<u32>,
-    ) {
-        let mut scratch = VectorQueryScratch::default();
-        self.shortlist_for_vector_with(v, &mut scratch, out, seen);
-    }
-
-    /// [`Self::shortlist_for_vector`] with reused hashing buffers — the
-    /// allocation-free form of the serving hot path.
+    /// hashed by the same hyperplane family, and its band buckets are probed
+    /// — the query of a [`crate::centroid_index::CentroidIndex`], with
+    /// reused hashing buffers.
     pub fn shortlist_for_vector_with(
         &self,
         v: &[f64],

@@ -6,10 +6,10 @@
 //! nudges only the touched centroids, so fit cost scales with `b·steps`
 //! rather than `n·iterations`. That attacks the *number* of assignments; the
 //! paper's shortlist attacks the *cost of each one*. This module composes
-//! the two: each sampled item is assigned by probing an LSH index built
-//! **over the centroids** (the serving-side construction of
-//! `lshclust::FittedModel`, and the neighbourhood-restricted assignment of
-//! the cluster-closures line of work), with a full `k`-search fallback when
+//! the two: each sampled item is assigned by probing a
+//! [`crate::centroid_index::CentroidIndex`] (the index `lshclust::FittedModel`
+//! serves from, and the neighbourhood-restricted assignment of the
+//! cluster-closures line of work), with a full `k`-search fallback when
 //! the shortlist comes back empty, and the index is **rebuilt every
 //! [`MiniBatchParams::refresh_every`] steps** so it tracks the drifting
 //! centroids (stale buckets would silently degrade the shortlist — the
@@ -31,30 +31,31 @@
 //! A final full assignment pass (also fanned over `threads`) turns the
 //! drifted centroids into a complete clustering, exactly like the baseline.
 
+use crate::centroid_index::{CentroidIndex, CentroidRows, IndexScheme, ModeQuery, Salts};
 use crate::framework::CentroidModel;
-use crate::mhkmeans::{KMeansModel, SimHashIndex, VectorQueryScratch};
+use crate::mhkmeans::KMeansModel;
 use crate::mhkmodes::KModesModel;
 use crate::mhkprototypes::KPrototypesModel;
-use crate::parallel::chunked_map;
-use lshclust_categorical::{ClusterId, Dataset, PresentElements};
+use crate::parallel::{chunked_map, hash_band_keys_parallel};
+use lshclust_categorical::{ClusterId, Dataset};
 use lshclust_kmodes::init::{initial_modes, sample_distinct_items, InitMethod};
 use lshclust_kmodes::kmeans::{kmeans_initial_centroids, KMeansInit, NumericDataset};
 use lshclust_kmodes::kprototypes::{MixedDataset, Prototypes};
 use lshclust_kmodes::minibatch::{FrequencySketch, BATCH_SAMPLING_SALT};
 use lshclust_kmodes::modes::Modes;
 use lshclust_kmodes::stats::{IterationStats, RunSummary};
-use lshclust_minhash::hashfn::{FastSet, MixHashFamily};
-use lshclust_minhash::index::{LshIndex, LshIndexBuilder, ShortlistScratch};
-use lshclust_minhash::signature::SignatureGenerator;
+use lshclust_minhash::index::LshIndexBuilder;
 use lshclust_minhash::Banding;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::time::Instant;
 
 // Centroid indexes decorrelate their hash families from batch sampling and
-// from the fit-time item indexes of the Full discipline.
-const CAT_MB_SALT: u64 = 0x6d62_6d68; // "mbmh"
-const NUM_MB_SALT: u64 = 0x6d62_7368; // "mbsh"
+// from the fit-time item indexes of the Full discipline ("mbmh" / "mbsh").
+const MB_SALTS: Salts = Salts {
+    minhash: 0x6d62_6d68,
+    simhash: 0x6d62_7368,
+};
 
 /// The mini-batch schedule: how much is sampled, for how long, and how often
 /// the centroid LSH index is rebuilt as the centroids drift.
@@ -113,6 +114,17 @@ pub trait MiniBatchModel: CentroidModel {
     /// a value that merely reinforces the current mode leaves it in place —
     /// which is what the cluster-closure reuse cache keys invalidation on.
     fn absorb(&mut self, sketch: &mut Self::Sketch, item: u32, cluster: ClusterId) -> bool;
+
+    /// The current centroids, as the centroid index hashes them.
+    fn centroid_rows(&self) -> CentroidRows<'_>;
+
+    /// The items' categorical part, MinHashed once per run (modes-bearing
+    /// models only).
+    fn item_rows(&self) -> Option<&Dataset>;
+
+    /// Item `item`'s numeric part, SimHashed per query (means-bearing
+    /// models only).
+    fn item_point(&self, item: u32) -> Option<&[f64]>;
 }
 
 impl MiniBatchModel for KModesModel<'_> {
@@ -130,6 +142,22 @@ impl MiniBatchModel for KModesModel<'_> {
         let changed = self.modes().of(cluster) != mode;
         self.modes_mut().set_mode(cluster, mode);
         changed
+    }
+
+    fn centroid_rows(&self) -> CentroidRows<'_> {
+        CentroidRows {
+            k: self.k(),
+            modes: Some((self.dataset_ref().schema(), self.modes().values())),
+            means: None,
+        }
+    }
+
+    fn item_rows(&self) -> Option<&Dataset> {
+        Some(self.dataset_ref())
+    }
+
+    fn item_point(&self, _item: u32) -> Option<&[f64]> {
+        None
     }
 }
 
@@ -156,6 +184,22 @@ impl MiniBatchModel for KMeansModel<'_> {
             *c = new;
         }
         changed
+    }
+
+    fn centroid_rows(&self) -> CentroidRows<'_> {
+        CentroidRows {
+            k: self.k(),
+            modes: None,
+            means: Some((self.data_ref().dim(), self.centroids())),
+        }
+    }
+
+    fn item_rows(&self) -> Option<&Dataset> {
+        None
+    }
+
+    fn item_point(&self, item: u32) -> Option<&[f64]> {
+        Some(self.data_ref().row(item as usize))
     }
 }
 
@@ -195,272 +239,25 @@ impl MiniBatchModel for KPrototypesModel<'_> {
         }
         changed
     }
-}
 
-/// An LSH index **over the centroids** that shortlists candidate clusters
-/// for a dataset item, and can be rebuilt as the centroids drift. Queries
-/// are read-only with per-thread scratch so the batch assignment can fan out
-/// (the mini-batch twin of [`crate::parallel::SyncShortlistProvider`]).
-pub trait CentroidShortlister<M: CentroidModel>: Sync {
-    /// Per-thread query scratch (hash buffers, dedup stamps, …).
-    type Scratch: Send;
-
-    /// Rebuilds the index from the model's current centroids.
-    fn refresh(&mut self, model: &M);
-
-    /// One scratch per worker thread.
-    fn make_scratch(&self) -> Self::Scratch;
-
-    /// Writes the candidate clusters for `item` into `out` (cleared first).
-    /// An empty result makes the driver fall back to full search.
-    fn shortlist_into(&self, item: u32, scratch: &mut Self::Scratch, out: &mut Vec<ClusterId>);
-}
-
-/// Uninhabited stand-in for runs without an LSH scheme: `None::<NoShortlist>`
-/// selects the full-search mini-batch path through the same driver.
-pub enum NoShortlist {}
-
-impl<M: CentroidModel> CentroidShortlister<M> for NoShortlist {
-    type Scratch = ();
-
-    fn refresh(&mut self, _model: &M) {
-        match *self {}
-    }
-
-    fn make_scratch(&self) -> Self::Scratch {
-        match *self {}
-    }
-
-    fn shortlist_into(&self, _item: u32, _scratch: &mut (), _out: &mut Vec<ClusterId>) {
-        match *self {}
-    }
-}
-
-/// MinHash banding over the modes (the categorical centroid index).
-///
-/// An item's band keys depend only on the item and the hash family — never
-/// on the centroids — so the first [`CentroidShortlister::refresh`] hashes
-/// every item **once** and each refresh after that rebuilds only the
-/// (cheap, `k`-row) centroid buckets. A per-step query is then a stored-key
-/// lookup plus bucket probes: no per-step hashing at all, which is what
-/// lets the shortlist undercut the early-exit full search per batch item.
-pub struct MinHashCentroidShortlister<'a> {
-    dataset: &'a Dataset,
-    banding: Banding,
-    seed: u64,
-    index: Option<LshIndex>,
-    /// `n_items × bands` item band keys, item-major; hashed on first
-    /// refresh.
-    item_keys: Vec<u64>,
-    k: usize,
-}
-
-impl<'a> MinHashCentroidShortlister<'a> {
-    /// A shortlister for items of `dataset` against `k` mode centroids.
-    pub fn new(dataset: &'a Dataset, banding: Banding, seed: u64, k: usize) -> Self {
-        Self {
-            dataset,
-            banding,
-            seed: seed ^ CAT_MB_SALT,
-            index: None,
-            item_keys: Vec::new(),
-            k,
+    fn centroid_rows(&self) -> CentroidRows<'_> {
+        let prototypes = self.prototypes();
+        CentroidRows {
+            k: self.k(),
+            modes: Some((
+                self.data_ref().categorical.schema(),
+                prototypes.modes.values(),
+            )),
+            means: Some((prototypes.dim(), &prototypes.means)),
         }
     }
 
-    fn refresh_from_modes(&mut self, modes: &Modes) {
-        self.index = Some(
-            LshIndexBuilder::new(self.banding)
-                .seed(self.seed)
-                .build_centroids(
-                    self.dataset.schema(),
-                    (0..modes.k()).map(|c| modes.mode(c)),
-                    modes.k(),
-                ),
-        );
-        if self.item_keys.is_empty() {
-            let generator = SignatureGenerator::new(MixHashFamily::new(
-                self.banding.signature_len(),
-                self.seed,
-            ));
-            let n = self.dataset.n_items();
-            let mut sig = Vec::with_capacity(self.banding.signature_len());
-            let mut keys = Vec::with_capacity(self.banding.bands() as usize);
-            self.item_keys.reserve(n * self.banding.bands() as usize);
-            for item in 0..n {
-                generator.signature_into(
-                    PresentElements::new(self.dataset.schema(), self.dataset.row(item)),
-                    &mut sig,
-                );
-                self.banding.band_keys_into(&sig, &mut keys);
-                self.item_keys.extend_from_slice(&keys);
-            }
-        }
+    fn item_rows(&self) -> Option<&Dataset> {
+        Some(self.data_ref().categorical)
     }
 
-    fn query(&self, item: u32, scratch: &mut CatScratch, out: &mut Vec<ClusterId>) {
-        out.clear();
-        let Some(index) = &self.index else { return };
-        let bands = self.banding.bands() as usize;
-        let keys = &self.item_keys[item as usize * bands..(item as usize + 1) * bands];
-        index.shortlist_for_band_keys(keys, &mut scratch.shortlist);
-        out.extend_from_slice(&scratch.shortlist.clusters);
-    }
-}
-
-/// Per-thread scratch of the categorical centroid query.
-pub struct CatScratch {
-    shortlist: ShortlistScratch,
-}
-
-impl CentroidShortlister<KModesModel<'_>> for MinHashCentroidShortlister<'_> {
-    type Scratch = CatScratch;
-
-    fn refresh(&mut self, model: &KModesModel<'_>) {
-        self.refresh_from_modes(model.modes());
-    }
-
-    fn make_scratch(&self) -> CatScratch {
-        CatScratch {
-            shortlist: ShortlistScratch::new(self.k, self.k),
-        }
-    }
-
-    fn shortlist_into(&self, item: u32, scratch: &mut CatScratch, out: &mut Vec<ClusterId>) {
-        self.query(item, scratch, out);
-    }
-}
-
-/// SimHash over the mean centroids (the numeric centroid index).
-pub struct SimHashCentroidShortlister<'a> {
-    data: &'a NumericDataset,
-    bands: u32,
-    rows: u32,
-    seed: u64,
-    index: Option<SimHashIndex>,
-}
-
-impl<'a> SimHashCentroidShortlister<'a> {
-    /// A shortlister for points of `data` against mean centroids.
-    pub fn new(data: &'a NumericDataset, bands: u32, rows: u32, seed: u64) -> Self {
-        Self {
-            data,
-            bands,
-            rows,
-            seed: seed ^ NUM_MB_SALT,
-            index: None,
-        }
-    }
-
-    fn refresh_from_means(&mut self, dim: usize, centroids: &[f64]) {
-        let k = centroids.len().checked_div(dim).unwrap_or(0);
-        let identity: Vec<ClusterId> = (0..k as u32).map(ClusterId).collect();
-        self.index = Some(SimHashIndex::build(
-            &NumericDataset::new(dim, centroids.to_vec()),
-            self.bands,
-            self.rows,
-            self.seed,
-            &identity,
-        ));
-    }
-
-    fn query(&self, item: u32, scratch: &mut NumScratch, out: &mut Vec<ClusterId>) {
-        out.clear();
-        let Some(index) = &self.index else { return };
-        index.shortlist_for_vector_with(
-            self.data.row(item as usize),
-            &mut scratch.query,
-            out,
-            &mut scratch.seen,
-        );
-    }
-}
-
-/// Per-thread scratch of the numeric centroid query.
-#[derive(Default)]
-pub struct NumScratch {
-    query: VectorQueryScratch,
-    seen: FastSet<u32>,
-}
-
-impl CentroidShortlister<KMeansModel<'_>> for SimHashCentroidShortlister<'_> {
-    type Scratch = NumScratch;
-
-    fn refresh(&mut self, model: &KMeansModel<'_>) {
-        self.refresh_from_means(model.data_ref().dim(), model.centroids());
-    }
-
-    fn make_scratch(&self) -> NumScratch {
-        NumScratch::default()
-    }
-
-    fn shortlist_into(&self, item: u32, scratch: &mut NumScratch, out: &mut Vec<ClusterId>) {
-        self.query(item, scratch, out);
-    }
-}
-
-/// MinHash over the mode part ∪ SimHash over the mean part — the mixed-data
-/// centroid index, mirroring the fit-time `UnionProvider`.
-pub struct UnionCentroidShortlister<'a> {
-    cat: MinHashCentroidShortlister<'a>,
-    num: SimHashCentroidShortlister<'a>,
-}
-
-impl<'a> UnionCentroidShortlister<'a> {
-    /// A shortlister for items of `data` against `k` prototype centroids.
-    pub fn new(
-        data: &'a MixedDataset<'a>,
-        banding: Banding,
-        sim_bands: u32,
-        sim_rows: u32,
-        seed: u64,
-        k: usize,
-    ) -> Self {
-        Self {
-            cat: MinHashCentroidShortlister::new(data.categorical, banding, seed, k),
-            num: SimHashCentroidShortlister::new(data.numeric, sim_bands, sim_rows, seed),
-        }
-    }
-}
-
-/// Per-thread scratch of the union centroid query.
-pub struct UnionCentroidScratch {
-    cat: CatScratch,
-    num: NumScratch,
-    buf: Vec<ClusterId>,
-}
-
-impl CentroidShortlister<KPrototypesModel<'_>> for UnionCentroidShortlister<'_> {
-    type Scratch = UnionCentroidScratch;
-
-    fn refresh(&mut self, model: &KPrototypesModel<'_>) {
-        let prototypes = model.prototypes();
-        self.cat.refresh_from_modes(&prototypes.modes);
-        self.num
-            .refresh_from_means(prototypes.dim(), &prototypes.means);
-    }
-
-    fn make_scratch(&self) -> UnionCentroidScratch {
-        UnionCentroidScratch {
-            cat: self.cat.make_scratch(),
-            num: NumScratch::default(),
-            buf: Vec::new(),
-        }
-    }
-
-    fn shortlist_into(
-        &self,
-        item: u32,
-        scratch: &mut UnionCentroidScratch,
-        out: &mut Vec<ClusterId>,
-    ) {
-        self.cat.query(item, &mut scratch.cat, out);
-        self.num.query(item, &mut scratch.num, &mut scratch.buf);
-        for &c in &scratch.buf {
-            if !out.contains(&c) {
-                out.push(c);
-            }
-        }
+    fn item_point(&self, item: u32) -> Option<&[f64]> {
+        Some(self.data_ref().numeric.row(item as usize))
     }
 }
 
@@ -554,27 +351,29 @@ struct BatchDecision {
 /// searched count and the search itself. When valid, the reused decision is
 /// exactly what the fresh path would recompute (same winner, `searched = k`,
 /// still counted as a fallback), so byte-identity is preserved.
-fn run_steps<M, S>(
+fn run_steps<M: MiniBatchModel + Sync>(
     model: &mut M,
-    mut shortlister: Option<S>,
+    scheme: Option<IndexScheme>,
     params: &MiniBatchParams,
     seed: u64,
     threads: usize,
     steps_out: &mut Vec<IterationStats>,
-) -> MiniBatchProfile
-where
-    M: MiniBatchModel + Sync,
-    S: CentroidShortlister<M>,
-{
+) -> MiniBatchProfile {
     let n = model.n_items();
     let k = model.k();
     let b = params.batch_size.clamp(1, n.max(1));
     let n_steps = params.n_steps.max(1);
-    let closures = params.closures && shortlister.is_some();
+    let closures = params.closures && scheme.is_some();
     let mut rng = StdRng::seed_from_u64(seed ^ BATCH_SAMPLING_SALT);
     let mut sketch = model.make_sketch();
     let mut batch: Vec<u32> = Vec::with_capacity(b);
     let mut profile = MiniBatchProfile::default();
+    let mut index: Option<CentroidIndex> = None;
+    // `n × bands` item MinHash band keys, item-major. An item's keys depend
+    // only on the item and the hash family, never on the centroids, so they
+    // are hashed once (at the first refresh) and every later query is a
+    // stored-key lookup plus bucket probes.
+    let mut item_keys: Vec<u64> = Vec::new();
     // Closure-reuse state: per-item cached decisions, the refresh epoch they
     // were read under, and the last step each cluster's centroid value
     // changed.
@@ -588,10 +387,19 @@ where
     let mut changed_this_step: Vec<bool> = vec![false; k];
     for step in 1..=n_steps {
         let t = Instant::now();
-        if let Some(s) = shortlister.as_mut() {
+        if let Some(scheme) = scheme {
             if step == 1 || (params.refresh_every > 0 && (step - 1) % params.refresh_every == 0) {
                 let t_refresh = Instant::now();
-                s.refresh(&*model);
+                index = Some(CentroidIndex::build(
+                    scheme,
+                    seed,
+                    MB_SALTS,
+                    model.centroid_rows(),
+                ));
+                if let (1, Some(banding), Some(items)) = (step, scheme.minhash, model.item_rows()) {
+                    let builder = LshIndexBuilder::new(banding).seed(seed ^ MB_SALTS.minhash);
+                    item_keys = hash_band_keys_parallel(&builder, items, threads);
+                }
                 profile.refresh += t_refresh.elapsed();
                 epoch += 1;
             }
@@ -610,12 +418,14 @@ where
         // a fallback read all k centroids, so the latest change anywhere is
         // its invalidation clock.
         let max_changed = last_changed.iter().copied().max().unwrap_or(0);
-        let assigned: Vec<BatchDecision> = match shortlister.as_ref() {
-            Some(s) => chunked_map(
+        let item_keys_ref: &[u64] = &item_keys;
+        let key_width = item_keys.len() / n.max(1);
+        let assigned: Vec<BatchDecision> = match index.as_ref() {
+            Some(index) => chunked_map(
                 b,
                 threads,
-                || (s.make_scratch(), Vec::new()),
-                |i, (scratch, out): &mut (S::Scratch, Vec<ClusterId>)| {
+                || index.scratch(),
+                |i, scratch| {
                     let item = batch_ref[i as usize];
                     if closures {
                         let slot = &cache_ref[item as usize];
@@ -645,13 +455,16 @@ where
                             }
                         }
                     }
-                    s.shortlist_into(item, scratch, out);
-                    match frozen.best_among(item, out) {
+                    let at = item as usize * key_width;
+                    let modes = (key_width > 0)
+                        .then(|| ModeQuery::Keys(&item_keys_ref[at..at + key_width]));
+                    let shortlist = index.shortlist(modes, frozen.item_point(item), scratch);
+                    match frozen.best_among(item, shortlist) {
                         Some((c, _)) => BatchDecision {
                             chosen: c.0,
-                            searched: out.len() as u32,
+                            searched: shortlist.len() as u32,
                             fallback: false,
-                            cache: closures.then(|| out.clone()),
+                            cache: closures.then(|| shortlist.to_vec()),
                             reused: false,
                         },
                         // Empty shortlist: no centroid collided — fall back
@@ -828,28 +641,14 @@ pub fn minibatch_mh_kmodes_from(
     setup_start: Instant,
 ) -> MiniBatchKModesResult {
     assert!(modes.k() > 0 && modes.k() <= dataset.n_items());
-    let k = modes.k();
     let mut model = KModesModel::new(dataset, modes);
     let setup = setup_start.elapsed();
     let mut steps = Vec::new();
-    let profile = match lsh {
-        Some(banding) => run_steps(
-            &mut model,
-            Some(MinHashCentroidShortlister::new(dataset, banding, seed, k)),
-            params,
-            seed,
-            threads,
-            &mut steps,
-        ),
-        None => run_steps(
-            &mut model,
-            None::<NoShortlist>,
-            params,
-            seed,
-            threads,
-            &mut steps,
-        ),
-    };
+    let scheme = lsh.map(|banding| IndexScheme {
+        minhash: Some(banding),
+        simhash: None,
+    });
+    let profile = run_steps(&mut model, scheme, params, seed, threads, &mut steps);
     let assignments = finish(&model, threads, &mut steps);
     MiniBatchKModesResult {
         assignments,
@@ -905,24 +704,11 @@ pub fn minibatch_mh_kmeans_from(
     let mut model = KMeansModel::new(data, centroids, k);
     let setup = setup_start.elapsed();
     let mut steps = Vec::new();
-    let profile = match lsh {
-        Some((bands, rows)) => run_steps(
-            &mut model,
-            Some(SimHashCentroidShortlister::new(data, bands, rows, seed)),
-            params,
-            seed,
-            threads,
-            &mut steps,
-        ),
-        None => run_steps(
-            &mut model,
-            None::<NoShortlist>,
-            params,
-            seed,
-            threads,
-            &mut steps,
-        ),
-    };
+    let scheme = lsh.map(|simhash| IndexScheme {
+        minhash: None,
+        simhash: Some(simhash),
+    });
+    let profile = run_steps(&mut model, scheme, params, seed, threads, &mut steps);
     let assignments = finish(&model, threads, &mut steps);
     MiniBatchKMeansResult {
         assignments,
@@ -957,7 +743,7 @@ pub struct MiniBatchKPrototypesResult {
 }
 
 /// Mini-batch K-Prototypes: full search per batch item when `lsh` is `None`,
-/// shortlisted through refreshed MinHash∪SimHash centroid indexes otherwise.
+/// shortlisted through a refreshed MinHash∪SimHash centroid index otherwise.
 /// Initialisation draws `k` random items (the only strategy both
 /// K-Prototypes paths support).
 pub fn minibatch_mh_kprototypes(
@@ -998,35 +784,14 @@ pub fn minibatch_mh_kprototypes_from(
     setup_start: Instant,
 ) -> MiniBatchKPrototypesResult {
     assert!(prototypes.k() > 0 && prototypes.k() <= data.n_items());
-    let k = prototypes.k();
     let mut model = KPrototypesModel::new(data, prototypes, gamma);
     let setup = setup_start.elapsed();
     let mut steps = Vec::new();
-    let profile = match lsh {
-        Some(u) => run_steps(
-            &mut model,
-            Some(UnionCentroidShortlister::new(
-                data,
-                u.banding,
-                u.sim_bands,
-                u.sim_rows,
-                seed,
-                k,
-            )),
-            params,
-            seed,
-            threads,
-            &mut steps,
-        ),
-        None => run_steps(
-            &mut model,
-            None::<NoShortlist>,
-            params,
-            seed,
-            threads,
-            &mut steps,
-        ),
-    };
+    let scheme = lsh.map(|u| IndexScheme {
+        minhash: Some(u.banding),
+        simhash: Some((u.sim_bands, u.sim_rows)),
+    });
+    let profile = run_steps(&mut model, scheme, params, seed, threads, &mut steps);
     let assignments = finish(&model, threads, &mut steps);
     MiniBatchKPrototypesResult {
         assignments,

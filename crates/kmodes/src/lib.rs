@@ -22,7 +22,6 @@
 
 pub mod assign;
 pub mod cost;
-pub mod fuzzy;
 pub mod init;
 pub mod kmeans;
 pub mod kmodes;

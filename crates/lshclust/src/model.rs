@@ -3,13 +3,16 @@
 //!
 //! Training (`Clusterer::fit`) uses the paper's index over the *items* to
 //! accelerate the assignment loop; serving inverts the construction. The
-//! trained centroids themselves are hashed into a frozen index, so an unseen
-//! item is assigned by MinHashing/SimHashing it once, probing the centroid
-//! buckets for a shortlist of candidate clusters, and searching only that
-//! shortlist — per-query cost independent of `k`, exactly the property the
-//! paper establishes for the fit loop (and the reusable-centroid-index view
-//! taken by the cluster-closures line of work). An empty shortlist falls
-//! back to full search, so `predict` is total.
+//! trained centroids themselves are hashed into a frozen
+//! [`CentroidIndex`], so an unseen item is assigned by MinHashing/SimHashing
+//! it once, probing the centroid buckets for a shortlist of candidate
+//! clusters, and searching only that shortlist — per-query cost independent
+//! of `k`, exactly the property the paper establishes for the fit loop (and
+//! the reusable-centroid-index view taken by the cluster-closures line of
+//! work). An empty shortlist falls back to full search, so `predict` is
+//! total. Every query — single, batched or served — goes through one path,
+//! which validates it (modality, shape, finite coordinates) before any
+//! hashing.
 //!
 //! The artifact round-trips through two **versioned envelopes**, sniffed
 //! apart by their leading bytes at every load site:
@@ -47,20 +50,14 @@
 use crate::envelope::{self, corrupt};
 use crate::spec::{ClusterSpec, Lsh, StreamOptions};
 use lshclust_categorical::dissimilarity::matching;
-use lshclust_categorical::{
-    AttrId, ClusterId, Dataset, PresentElements, Schema, ValueId, NOT_PRESENT,
-};
-use lshclust_core::mhkmeans::{SimHashIndex, VectorQueryScratch};
+use lshclust_categorical::{AttrId, ClusterId, Dataset, Schema, ValueId, NOT_PRESENT};
+use lshclust_core::centroid_index::{CentroidIndex, CentroidRows, IndexScratch, ModeQuery, Salts};
 use lshclust_core::parallel::chunked_map;
 use lshclust_core::streaming::StreamingMhKModes;
 use lshclust_kmodes::assign::{best_cluster_among, best_cluster_full};
 use lshclust_kmodes::kmeans::{sq_euclidean, NumericDataset};
 use lshclust_kmodes::kprototypes::{MixedDataset, Prototypes};
 use lshclust_kmodes::modes::Modes;
-use lshclust_minhash::hashfn::{FastSet, MixHashFamily};
-use lshclust_minhash::index::{LshIndex, LshIndexBuilder, ShortlistScratch};
-use lshclust_minhash::signature::SignatureGenerator;
-use lshclust_minhash::Banding;
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 use std::fmt;
 use std::path::Path;
@@ -74,10 +71,13 @@ pub const MODEL_VERSION: u64 = 1;
 /// [`FittedModel::to_bytes`]).
 pub const MODEL_VERSION_V2: u64 = 2;
 
-// Centroid indexes decorrelate their hash families from the fit-time item
-// index (which already decorrelates from init sampling).
-const CAT_INDEX_SALT: u64 = 0x6d6f_6465_6c6d; // "modelm"
-const NUM_INDEX_SALT: u64 = 0x6d6f_6465_6c73; // "models"
+// Serving indexes decorrelate their hash families from the fit-time item
+// index, which already decorrelates from init sampling ("modelm" /
+// "models").
+const INDEX_SALTS: Salts = Salts {
+    minhash: 0x6d6f_6465_6c6d,
+    simhash: 0x6d6f_6465_6c73,
+};
 
 /// Why a serving operation failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -118,6 +118,12 @@ pub enum ModelError {
     },
     /// A streaming hand-off was attempted before any cluster existed.
     EmptyModel,
+    /// A query point has a NaN or infinite coordinate, which has no nearest
+    /// centroid.
+    NonFinite {
+        /// Index of the first non-finite coordinate.
+        dimension: usize,
+    },
 }
 
 impl fmt::Display for ModelError {
@@ -141,6 +147,9 @@ impl fmt::Display for ModelError {
                  re-encode rows with FittedModel::encode_row"
             ),
             ModelError::EmptyModel => write!(f, "cannot build a model with zero clusters"),
+            ModelError::NonFinite { dimension } => {
+                write!(f, "query coordinate {dimension} is not a finite number")
+            }
         }
     }
 }
@@ -157,278 +166,42 @@ impl std::error::Error for ModelError {}
 #[derive(Clone)]
 pub struct FittedModel {
     spec: ClusterSpec,
-    kind: ModelKind,
+    /// The mode part and its training schema (categorical and mixed
+    /// models).
+    modes: Option<(Schema, Modes)>,
+    /// The mean part (numeric and mixed models).
+    means: Option<Means>,
+    /// The resolved mixing weight γ (mixed models).
+    gamma: Option<f64>,
+    /// The index over the centroids; `None` under [`Lsh::None`], where
+    /// every predict is a full search.
+    index: Option<CentroidIndex>,
 }
 
+/// `k × dim` centroid means, row-major.
 #[derive(Clone)]
-enum ModelKind {
-    Categorical(CategoricalServer),
-    Numeric(NumericServer),
-    Mixed(MixedServer),
-}
-
-/// Frozen modes plus an optional MinHash index over them.
-#[derive(Clone)]
-struct CategoricalServer {
-    schema: Schema,
-    modes: Modes,
-    index: Option<CatIndex>,
-}
-
-#[derive(Clone)]
-struct CatIndex {
-    banding: Banding,
-    generator: SignatureGenerator<MixHashFamily>,
-    index: LshIndex,
-}
-
-impl CatIndex {
-    fn build(banding: Banding, seed: u64, schema: &Schema, modes: &Modes) -> Self {
-        let generator = SignatureGenerator::new(MixHashFamily::new(banding.signature_len(), seed));
-        let index = LshIndexBuilder::new(banding).seed(seed).build_centroids(
-            schema,
-            (0..modes.k()).map(|c| modes.mode(c)),
-            modes.k(),
-        );
-        Self {
-            banding,
-            generator,
-            index,
-        }
-    }
-
-    /// The copy-instead-of-hash load path: refills the bucket maps from a
-    /// persisted flat band-key buffer (`k × bands`, item-major) instead of
-    /// re-MinHashing every centroid. The query-side hash family still
-    /// regenerates deterministically from the seed — only the per-centroid
-    /// hashing (the dominant load cost) is skipped. The caller has already
-    /// validated `band_keys.len() == k × bands`.
-    fn from_band_keys(banding: Banding, seed: u64, band_keys: Vec<u64>, k: usize) -> Self {
-        let generator = SignatureGenerator::new(MixHashFamily::new(banding.signature_len(), seed));
-        let identity: Vec<ClusterId> = (0..k as u32).map(ClusterId).collect();
-        let index = LshIndexBuilder::new(banding)
-            .seed(seed)
-            .build_from_band_keys(band_keys, &identity);
-        Self {
-            banding,
-            generator,
-            index,
-        }
-    }
-}
-
-/// Per-query scratch for the categorical path (reused across a batch).
-pub(crate) struct CatScratch {
-    sig: Vec<u64>,
-    keys: Vec<u64>,
-    shortlist: ShortlistScratch,
-}
-
-impl CategoricalServer {
-    fn new(spec: &ClusterSpec, schema: Schema, modes: Modes) -> Self {
-        let index = match spec.lsh {
-            Lsh::MinHash { bands, rows } | Lsh::Union { bands, rows, .. } => Some(CatIndex::build(
-                Banding::new(bands, rows),
-                spec.seed ^ CAT_INDEX_SALT,
-                &schema,
-                &modes,
-            )),
-            _ => None,
-        };
-        Self {
-            schema,
-            modes,
-            index,
-        }
-    }
-
-    fn scratch(&self) -> CatScratch {
-        CatScratch {
-            sig: Vec::new(),
-            keys: Vec::new(),
-            shortlist: ShortlistScratch::new(self.modes.k(), self.modes.k()),
-        }
-    }
-
-    /// Shortlist the candidate clusters for `row` into `scratch.shortlist`.
-    /// Returns `false` when the model has no index (full search applies).
-    fn shortlist(&self, row: &[ValueId], scratch: &mut CatScratch) -> bool {
-        let Some(ci) = &self.index else { return false };
-        ci.generator
-            .signature_into(PresentElements::new(&self.schema, row), &mut scratch.sig);
-        ci.banding.band_keys_into(&scratch.sig, &mut scratch.keys);
-        ci.index
-            .shortlist_for_band_keys(&scratch.keys, &mut scratch.shortlist);
-        true
-    }
-
-    fn predict_row(&self, row: &[ValueId], scratch: &mut CatScratch) -> ClusterId {
-        if self.shortlist(row, scratch) {
-            if let Some((c, _)) = best_cluster_among(row, &self.modes, &scratch.shortlist.clusters)
-            {
-                return c;
-            }
-            // Empty shortlist: the query collided with no centroid — fall
-            // through to exhaustive search (predict is total).
-        }
-        best_cluster_full(row, &self.modes).0
-    }
-}
-
-/// Frozen means plus an optional SimHash index over them.
-#[derive(Clone)]
-struct NumericServer {
+struct Means {
     dim: usize,
-    /// `k × dim` centroid matrix, row-major.
-    centroids: Vec<f64>,
-    index: Option<SimHashIndex>,
+    values: Vec<f64>,
 }
 
-/// Per-query scratch for the numeric path.
-pub(crate) struct NumScratch {
-    out: Vec<ClusterId>,
-    seen: FastSet<u32>,
-    query: VectorQueryScratch,
-}
-
-impl NumericServer {
-    fn new(spec: &ClusterSpec, dim: usize, centroids: Vec<f64>) -> Self {
-        let k = centroids.len() / dim.max(1);
-        let index = match spec.lsh {
-            Lsh::SimHash { bands, rows } => Some((bands, rows)),
-            Lsh::Union {
-                sim_bands,
-                sim_rows,
-                ..
-            } => Some((sim_bands, sim_rows)),
-            _ => None,
-        }
-        .map(|(bands, rows)| {
-            let identity: Vec<ClusterId> = (0..k as u32).map(ClusterId).collect();
-            SimHashIndex::build(
-                &NumericDataset::new(dim, centroids.clone()),
-                bands,
-                rows,
-                spec.seed ^ NUM_INDEX_SALT,
-                &identity,
-            )
-        });
-        Self {
-            dim,
-            centroids,
-            index,
-        }
-    }
-
+impl Means {
     fn k(&self) -> usize {
-        self.centroids.len() / self.dim
+        self.values.len() / self.dim
     }
 
     #[inline]
-    fn centroid(&self, c: usize) -> &[f64] {
-        &self.centroids[c * self.dim..(c + 1) * self.dim]
-    }
-
-    fn scratch(&self) -> NumScratch {
-        NumScratch {
-            out: Vec::new(),
-            seen: FastSet::default(),
-            query: VectorQueryScratch::default(),
-        }
-    }
-
-    fn best_among(&self, point: &[f64], candidates: &[ClusterId]) -> Option<ClusterId> {
-        argmin_among(candidates, |c| sq_euclidean(point, self.centroid(c)))
-    }
-
-    fn best_full(&self, point: &[f64]) -> ClusterId {
-        argmin_full(self.k(), |c| sq_euclidean(point, self.centroid(c)))
-    }
-
-    fn predict_point(&self, point: &[f64], scratch: &mut NumScratch) -> ClusterId {
-        if let Some(index) = &self.index {
-            index.shortlist_for_vector_with(
-                point,
-                &mut scratch.query,
-                &mut scratch.out,
-                &mut scratch.seen,
-            );
-            if let Some(c) = self.best_among(point, &scratch.out) {
-                return c;
-            }
-        }
-        self.best_full(point)
+    fn row(&self, c: usize) -> &[f64] {
+        &self.values[c * self.dim..(c + 1) * self.dim]
     }
 }
 
-/// Mixed serving: both part-servers plus the resolved mixing weight γ.
-#[derive(Clone)]
-struct MixedServer {
-    cat: CategoricalServer,
-    num: NumericServer,
-    gamma: f64,
-}
-
-pub(crate) struct MixedScratch {
-    cat: CatScratch,
-    num: NumScratch,
-    union: Vec<ClusterId>,
-}
-
-impl MixedServer {
-    fn scratch(&self) -> MixedScratch {
-        MixedScratch {
-            cat: self.cat.scratch(),
-            num: self.num.scratch(),
-            union: Vec::new(),
-        }
-    }
-
-    #[inline]
-    fn distance(&self, row: &[ValueId], point: &[f64], c: usize) -> f64 {
-        f64::from(matching(row, self.cat.modes.mode(c)))
-            + self.gamma * sq_euclidean(point, self.num.centroid(c))
-    }
-
-    fn best_among(
-        &self,
-        row: &[ValueId],
-        point: &[f64],
-        candidates: &[ClusterId],
-    ) -> Option<ClusterId> {
-        argmin_among(candidates, |c| self.distance(row, point, c))
-    }
-
-    fn best_full(&self, row: &[ValueId], point: &[f64]) -> ClusterId {
-        argmin_full(self.cat.modes.k(), |c| self.distance(row, point, c))
-    }
-
-    fn predict_row(&self, row: &[ValueId], point: &[f64], scratch: &mut MixedScratch) -> ClusterId {
-        // Union shortlist: candidates close in *either* modality, mirroring
-        // the fit-time UnionProvider.
-        scratch.union.clear();
-        if self.cat.shortlist(row, &mut scratch.cat) {
-            scratch
-                .union
-                .extend_from_slice(&scratch.cat.shortlist.clusters);
-        }
-        if let Some(index) = &self.num.index {
-            index.shortlist_for_vector_with(
-                point,
-                &mut scratch.num.query,
-                &mut scratch.num.out,
-                &mut scratch.num.seen,
-            );
-            for &c in &scratch.num.out {
-                if !scratch.union.contains(&c) {
-                    scratch.union.push(c);
-                }
-            }
-        }
-        if let Some(c) = self.best_among(row, point, &scratch.union) {
-            return c;
-        }
-        self.best_full(row, point)
+/// Modality name of a model or query with these parts.
+fn modality_of(modes: bool, means: bool) -> &'static str {
+    match (modes, means) {
+        (true, false) => "categorical",
+        (false, true) => "numeric",
+        _ => "mixed",
     }
 }
 
@@ -472,13 +245,15 @@ impl FittedModel {
     // ---- construction (fit side) ------------------------------------------
 
     pub(crate) fn categorical(spec: ClusterSpec, schema: Schema, modes: Modes) -> Self {
-        let kind = ModelKind::Categorical(CategoricalServer::new(&spec, schema, modes));
-        Self { spec, kind }
+        Self::assemble(spec, Some((schema, modes)), None, None)
     }
 
     pub(crate) fn numeric(spec: ClusterSpec, dim: usize, centroids: Vec<f64>) -> Self {
-        let kind = ModelKind::Numeric(NumericServer::new(&spec, dim, centroids));
-        Self { spec, kind }
+        let means = Means {
+            dim,
+            values: centroids,
+        };
+        Self::assemble(spec, None, Some(means), None)
     }
 
     pub(crate) fn mixed(
@@ -487,12 +262,51 @@ impl FittedModel {
         prototypes: &Prototypes,
         gamma: f64,
     ) -> Self {
-        let kind = ModelKind::Mixed(MixedServer {
-            cat: CategoricalServer::new(&spec, schema, prototypes.modes.clone()),
-            num: NumericServer::new(&spec, prototypes.dim(), prototypes.means.clone()),
+        let means = Means {
+            dim: prototypes.dim(),
+            values: prototypes.means.clone(),
+        };
+        let modes = Some((schema, prototypes.modes.clone()));
+        Self::assemble(spec, modes, Some(means), Some(gamma))
+    }
+
+    /// A model over these centroid parts, its index hashed from them.
+    fn assemble(
+        spec: ClusterSpec,
+        modes: Option<(Schema, Modes)>,
+        means: Option<Means>,
+        gamma: Option<f64>,
+    ) -> Self {
+        let mut model = Self {
+            spec,
+            modes,
+            means,
             gamma,
-        });
-        Self { spec, kind }
+            index: None,
+        };
+        let scheme = model
+            .spec
+            .lsh
+            .index_scheme(model.modes.is_some(), model.means.is_some());
+        if !scheme.is_none() {
+            let index =
+                CentroidIndex::build(scheme, model.spec.seed, INDEX_SALTS, model.centroid_rows());
+            model.index = Some(index);
+        }
+        model
+    }
+
+    /// The centroids as flat buffers, as the index hashes them (and as
+    /// `Sim::hierarchy` starts its leaves from).
+    pub(crate) fn centroid_rows(&self) -> CentroidRows<'_> {
+        CentroidRows {
+            k: self.k(),
+            modes: self
+                .modes
+                .as_ref()
+                .map(|(schema, modes)| (schema, modes.values())),
+            means: self.means.as_ref().map(|m| (m.dim, &m.values[..])),
+        }
     }
 
     /// Streaming hand-off: snapshots the clusters a [`StreamingMhKModes`]
@@ -529,57 +343,38 @@ impl FittedModel {
 
     /// Number of clusters served.
     pub fn k(&self) -> usize {
-        match &self.kind {
-            ModelKind::Categorical(s) => s.modes.k(),
-            ModelKind::Numeric(s) => s.k(),
-            ModelKind::Mixed(s) => s.cat.modes.k(),
+        match (&self.modes, &self.means) {
+            (Some((_, modes)), _) => modes.k(),
+            (None, Some(means)) => means.k(),
+            (None, None) => 0,
         }
     }
 
     /// The model's input modality: `"categorical"`, `"numeric"` or
     /// `"mixed"`.
     pub fn modality(&self) -> &'static str {
-        match &self.kind {
-            ModelKind::Categorical(_) => "categorical",
-            ModelKind::Numeric(_) => "numeric",
-            ModelKind::Mixed(_) => "mixed",
-        }
+        modality_of(self.modes.is_some(), self.means.is_some())
     }
 
     /// The training schema (categorical and mixed models).
     pub fn schema(&self) -> Option<&Schema> {
-        match &self.kind {
-            ModelKind::Categorical(s) => Some(&s.schema),
-            ModelKind::Mixed(s) => Some(&s.cat.schema),
-            ModelKind::Numeric(_) => None,
-        }
+        self.modes.as_ref().map(|(schema, _)| schema)
     }
 
     /// Numeric dimensionality (numeric and mixed models).
     pub fn dim(&self) -> Option<usize> {
-        match &self.kind {
-            ModelKind::Numeric(s) => Some(s.dim),
-            ModelKind::Mixed(s) => Some(s.num.dim),
-            ModelKind::Categorical(_) => None,
-        }
+        self.means.as_ref().map(|m| m.dim)
     }
 
     /// Whether a centroid LSH index is serving shortlists (false ⇒ every
     /// `predict` is a full search).
     pub fn has_index(&self) -> bool {
-        match &self.kind {
-            ModelKind::Categorical(s) => s.index.is_some(),
-            ModelKind::Numeric(s) => s.index.is_some(),
-            ModelKind::Mixed(s) => s.cat.index.is_some() || s.num.index.is_some(),
-        }
+        self.index.is_some()
     }
 
     /// The resolved mixing weight γ (mixed models).
     pub fn gamma(&self) -> Option<f64> {
-        match &self.kind {
-            ModelKind::Mixed(s) => Some(s.gamma),
-            _ => None,
-        }
+        self.gamma
     }
 
     /// Overrides the serving thread count ([`Self::predict`] fans batches
@@ -590,27 +385,27 @@ impl FittedModel {
         self.spec.threads = threads.max(1);
     }
 
-    // ---- warm-start accessors (crate) -------------------------------------
+    // ---- centroid accessors (crate) ---------------------------------------
 
     pub(crate) fn warm_modes(&self) -> Option<&Modes> {
-        match &self.kind {
-            ModelKind::Categorical(s) => Some(&s.modes),
+        match (&self.modes, &self.means) {
+            (Some((_, modes)), None) => Some(modes),
             _ => None,
         }
     }
 
     pub(crate) fn warm_means(&self) -> Option<(usize, &[f64])> {
-        match &self.kind {
-            ModelKind::Numeric(s) => Some((s.dim, &s.centroids)),
+        match (&self.modes, &self.means) {
+            (None, Some(means)) => Some((means.dim, &means.values)),
             _ => None,
         }
     }
 
     pub(crate) fn warm_prototypes(&self) -> Option<(Prototypes, f64)> {
-        match &self.kind {
-            ModelKind::Mixed(s) => Some((
-                Prototypes::from_parts(s.cat.modes.clone(), s.num.centroids.clone(), s.num.dim),
-                s.gamma,
+        match (&self.modes, &self.means, self.gamma) {
+            (Some((_, modes)), Some(means), Some(gamma)) => Some((
+                Prototypes::from_parts(modes.clone(), means.values.clone(), means.dim),
+                gamma,
             )),
             _ => None,
         }
@@ -643,21 +438,12 @@ impl FittedModel {
     /// Assigns one encoded categorical row. Values must be encoded under
     /// the model's schema (see [`Self::encode_row`] for raw strings).
     pub fn predict_one(&self, row: &[ValueId]) -> Result<ClusterId, ModelError> {
-        let server = self.categorical_server("categorical")?;
-        check_shape("attributes", server.schema.n_attrs(), row.len())?;
-        Ok(server.predict_row(row, &mut server.scratch()))
+        self.assign(Some(row), None, &mut self.scratch())
     }
 
     /// Assigns one numeric point.
     pub fn predict_point(&self, point: &[f64]) -> Result<ClusterId, ModelError> {
-        let ModelKind::Numeric(server) = &self.kind else {
-            return Err(ModelError::WrongModality {
-                expected: self.modality(),
-                got: "numeric",
-            });
-        };
-        check_shape("dimensions", server.dim, point.len())?;
-        Ok(server.predict_point(point, &mut server.scratch()))
+        self.assign(None, Some(point), &mut self.scratch())
     }
 
     /// Assigns one mixed item (encoded categorical part + numeric part).
@@ -666,15 +452,7 @@ impl FittedModel {
         row: &[ValueId],
         point: &[f64],
     ) -> Result<ClusterId, ModelError> {
-        let ModelKind::Mixed(server) = &self.kind else {
-            return Err(ModelError::WrongModality {
-                expected: self.modality(),
-                got: "mixed",
-            });
-        };
-        check_shape("attributes", server.cat.schema.n_attrs(), row.len())?;
-        check_shape("dimensions", server.num.dim, point.len())?;
-        Ok(server.predict_row(row, point, &mut server.scratch()))
+        self.assign(Some(row), Some(point), &mut self.scratch())
     }
 
     /// Encodes a raw string row under the model's training schema. Values
@@ -705,82 +483,132 @@ impl FittedModel {
         self.predict_one(&encoded)
     }
 
-    // ---- single-item serving with reusable scratch (crate) ----------------
+    // ---- the query path (crate) -------------------------------------------
     //
-    // The `serve::ModelServer` worker pool coalesces many callers' single
-    // requests into micro-batches; these entry points let one worker reuse
-    // one scratch across a whole batch instead of allocating per request
-    // (the public `predict_one`/`predict_point`/`predict_mixed_one` wrappers
-    // pay that allocation, which is fine for one-off calls).
+    // Every predict — the public single-item calls, batches over datasets,
+    // and the `serve::ModelServer` workers, which reuse one scratch across a
+    // whole micro-batch — goes through `assign`.
 
-    /// One per-worker scratch, matching this model's modality.
-    pub(crate) fn serve_scratch(&self) -> ServeScratch {
-        match &self.kind {
-            ModelKind::Categorical(s) => ServeScratch::Cat(s.scratch()),
-            ModelKind::Numeric(s) => ServeScratch::Num(s.scratch()),
-            ModelKind::Mixed(s) => ServeScratch::Mixed(s.scratch()),
+    /// One query scratch for this model (empty without an index).
+    pub(crate) fn scratch(&self) -> IndexScratch {
+        self.index
+            .as_ref()
+            .map_or_else(IndexScratch::default, CentroidIndex::scratch)
+    }
+
+    /// Assigns one query — an encoded row, a point, or both — against
+    /// caller-held scratch: validates it, shortlists it through the index,
+    /// scores the shortlist, and searches every cluster when the shortlist
+    /// is empty or there is no index.
+    pub(crate) fn assign(
+        &self,
+        row: Option<&[ValueId]>,
+        point: Option<&[f64]>,
+        scratch: &mut IndexScratch,
+    ) -> Result<ClusterId, ModelError> {
+        self.check_query(row.map(<[ValueId]>::len), None, point.map(<[f64]>::len))?;
+        if let Some(dimension) = point.and_then(|p| p.iter().position(|x| !x.is_finite())) {
+            return Err(ModelError::NonFinite { dimension });
+        }
+        let candidates: &[ClusterId] = match &self.index {
+            Some(index) => {
+                let modes = row.zip(self.schema()).map(|(r, s)| ModeQuery::Row(s, r));
+                index.shortlist(modes, point, scratch)
+            }
+            None => &[],
+        };
+        Ok(self
+            .best_among(row, point, candidates)
+            .unwrap_or_else(|| self.best_full(row, point)))
+    }
+
+    /// Rejects a query whose modality or shape disagrees with the model, in
+    /// that order; `encoding` is a batch's categorical schema, checked
+    /// against the training schema between the two shape checks.
+    fn check_query(
+        &self,
+        attrs: Option<usize>,
+        encoding: Option<&Schema>,
+        dims: Option<usize>,
+    ) -> Result<(), ModelError> {
+        if attrs.is_some() != self.modes.is_some() || dims.is_some() != self.means.is_some() {
+            return Err(ModelError::WrongModality {
+                expected: self.modality(),
+                got: modality_of(attrs.is_some(), dims.is_some()),
+            });
+        }
+        if let (Some(got), Some(schema)) = (attrs, self.schema()) {
+            check_shape("attributes", schema.n_attrs(), got)?;
+            if let Some(input) = encoding {
+                check_encoding(schema, input)?;
+            }
+        }
+        if let (Some(got), Some(dim)) = (dims, self.dim()) {
+            check_shape("dimensions", dim, got)?;
+        }
+        Ok(())
+    }
+
+    /// Assigns `n` items of a validated batch, fanned over the spec's
+    /// threads with one scratch per thread.
+    fn assign_batch<'d>(
+        &self,
+        n: usize,
+        item: impl Fn(usize) -> (Option<&'d [ValueId]>, Option<&'d [f64]>) + Sync,
+    ) -> Result<Vec<ClusterId>, ModelError> {
+        chunked_map(
+            n,
+            self.spec.threads,
+            || self.scratch(),
+            |i, scratch| {
+                let (row, point) = item(i as usize);
+                Some(self.assign(row, point, scratch))
+            },
+        )
+        .into_iter()
+        .map(|slot| slot.expect("chunked_map fills every slot"))
+        .collect()
+    }
+
+    /// The best candidate (`None` for an empty shortlist). Mode-only models
+    /// use the K-Modes kernel's bounded search; every path ties to the
+    /// lowest cluster id.
+    fn best_among(
+        &self,
+        row: Option<&[ValueId]>,
+        point: Option<&[f64]>,
+        candidates: &[ClusterId],
+    ) -> Option<ClusterId> {
+        match (row, &self.modes, point) {
+            (Some(row), Some((_, modes)), None) => {
+                best_cluster_among(row, modes, candidates).map(|(c, _)| c)
+            }
+            _ => argmin_among(candidates, |c| self.distance(row, point, c)),
         }
     }
 
-    /// [`Self::predict_one`] against caller-held scratch.
-    pub(crate) fn predict_row_with(
-        &self,
-        row: &[ValueId],
-        scratch: &mut ServeScratch,
-    ) -> Result<ClusterId, ModelError> {
-        let (ModelKind::Categorical(server), ServeScratch::Cat(scratch)) = (&self.kind, scratch)
-        else {
-            return Err(ModelError::WrongModality {
-                expected: self.modality(),
-                got: "categorical",
-            });
-        };
-        check_shape("attributes", server.schema.n_attrs(), row.len())?;
-        Ok(server.predict_row(row, scratch))
-    }
-
-    /// [`Self::predict_point`] against caller-held scratch.
-    pub(crate) fn predict_point_with(
-        &self,
-        point: &[f64],
-        scratch: &mut ServeScratch,
-    ) -> Result<ClusterId, ModelError> {
-        let (ModelKind::Numeric(server), ServeScratch::Num(scratch)) = (&self.kind, scratch) else {
-            return Err(ModelError::WrongModality {
-                expected: self.modality(),
-                got: "numeric",
-            });
-        };
-        check_shape("dimensions", server.dim, point.len())?;
-        Ok(server.predict_point(point, scratch))
-    }
-
-    /// [`Self::predict_mixed_one`] against caller-held scratch.
-    pub(crate) fn predict_mixed_with(
-        &self,
-        row: &[ValueId],
-        point: &[f64],
-        scratch: &mut ServeScratch,
-    ) -> Result<ClusterId, ModelError> {
-        let (ModelKind::Mixed(server), ServeScratch::Mixed(scratch)) = (&self.kind, scratch) else {
-            return Err(ModelError::WrongModality {
-                expected: self.modality(),
-                got: "mixed",
-            });
-        };
-        check_shape("attributes", server.cat.schema.n_attrs(), row.len())?;
-        check_shape("dimensions", server.num.dim, point.len())?;
-        Ok(server.predict_row(row, point, scratch))
-    }
-
-    fn categorical_server(&self, got: &'static str) -> Result<&CategoricalServer, ModelError> {
-        match &self.kind {
-            ModelKind::Categorical(s) => Ok(s),
-            _ => Err(ModelError::WrongModality {
-                expected: self.modality(),
-                got,
-            }),
+    /// Exhaustive search over all `k` clusters.
+    fn best_full(&self, row: Option<&[ValueId]>, point: Option<&[f64]>) -> ClusterId {
+        match (row, &self.modes, point) {
+            (Some(row), Some((_, modes)), None) => best_cluster_full(row, modes).0,
+            _ => argmin_full(self.k(), |c| self.distance(row, point, c)),
         }
+    }
+
+    /// The fit kernels' distance to centroid `c`: matching dissimilarity on
+    /// the mode part plus γ × squared Euclidean on the mean part (γ = 1
+    /// when there is no mode part).
+    #[inline]
+    fn distance(&self, row: Option<&[ValueId]>, point: Option<&[f64]>, c: usize) -> f64 {
+        let cat = match (row, &self.modes) {
+            (Some(row), Some((_, modes))) => f64::from(matching(row, modes.mode(c))),
+            _ => 0.0,
+        };
+        let num = match (point, &self.means) {
+            (Some(point), Some(means)) => sq_euclidean(point, means.row(c)),
+            _ => 0.0,
+        };
+        cat + self.gamma.unwrap_or(1.0) * num
     }
 
     // ---- persistence ------------------------------------------------------
@@ -849,23 +677,45 @@ impl FittedModel {
                 .expect("spec serializes")
                 .into_bytes(),
         );
-        match &self.kind {
-            ModelKind::Categorical(s) => {
-                w.push(envelope::SEC_MODALITY, vec![0]);
-                push_categorical(&mut w, s);
+        let modality: u8 = match self.modality() {
+            "categorical" => 0,
+            "numeric" => 1,
+            _ => 2,
+        };
+        w.push(envelope::SEC_MODALITY, vec![modality]);
+        let k = self.k();
+        if let Some((schema, modes)) = &self.modes {
+            w.push(
+                envelope::SEC_SCHEMA,
+                serde_json::to_string(schema)
+                    .expect("schema serializes")
+                    .into_bytes(),
+            );
+            let mut cells = Vec::with_capacity(16 + modes.values().len() * 4);
+            envelope::put_u64(&mut cells, k as u64);
+            envelope::put_u64(&mut cells, modes.n_attrs() as u64);
+            for v in modes.values() {
+                envelope::put_u32(&mut cells, v.0);
             }
-            ModelKind::Numeric(s) => {
-                w.push(envelope::SEC_MODALITY, vec![1]);
-                push_numeric(&mut w, s);
+            w.push(envelope::SEC_MODES, cells);
+            if let Some(keys) = self.index.as_ref().and_then(CentroidIndex::minhash_keys) {
+                w.push(envelope::SEC_CAT_KEYS, keys_section(k, keys));
             }
-            ModelKind::Mixed(s) => {
-                w.push(envelope::SEC_MODALITY, vec![2]);
-                push_categorical(&mut w, &s.cat);
-                push_numeric(&mut w, &s.num);
-                let mut gamma = Vec::with_capacity(8);
-                envelope::put_f64(&mut gamma, s.gamma);
-                w.push(envelope::SEC_GAMMA, gamma);
+        }
+        if let Some(means) = &self.means {
+            w.push(
+                envelope::SEC_MEANS,
+                f64_section(k, means.dim, &means.values),
+            );
+            if let Some((keys, mean)) = self.index.as_ref().and_then(CentroidIndex::simhash_keys) {
+                w.push(envelope::SEC_NUM_KEYS, keys_section(k, keys));
+                w.push(envelope::SEC_NUM_MEAN, f64_section(1, mean.len(), mean));
             }
+        }
+        if let Some(gamma) = self.gamma {
+            let mut bytes = Vec::with_capacity(8);
+            envelope::put_f64(&mut bytes, gamma);
+            w.push(envelope::SEC_GAMMA, bytes);
         }
         w.finish()
     }
@@ -910,61 +760,25 @@ impl FittedModel {
 
 // --- v2 binary envelope: encode --------------------------------------------
 
-fn push_categorical(w: &mut envelope::Writer, s: &CategoricalServer) {
-    w.push(
-        envelope::SEC_SCHEMA,
-        serde_json::to_string(&s.schema)
-            .expect("schema serializes")
-            .into_bytes(),
-    );
-    let mut modes = Vec::with_capacity(16 + s.modes.values().len() * 4);
-    envelope::put_u64(&mut modes, s.modes.k() as u64);
-    envelope::put_u64(&mut modes, s.modes.n_attrs() as u64);
-    for v in s.modes.values() {
-        envelope::put_u32(&mut modes, v.0);
-    }
-    w.push(envelope::SEC_MODES, modes);
-    if let Some(ci) = &s.index {
-        w.push(
-            envelope::SEC_CAT_KEYS,
-            keys_section(s.modes.k(), ci.banding.bands(), ci.index.band_keys()),
-        );
-    }
-}
-
-fn push_numeric(w: &mut envelope::Writer, s: &NumericServer) {
-    let k = s.k();
-    let mut means = Vec::with_capacity(16 + s.centroids.len() * 8);
-    envelope::put_u64(&mut means, k as u64);
-    envelope::put_u64(&mut means, s.dim as u64);
-    for &v in &s.centroids {
-        envelope::put_f64(&mut means, v);
-    }
-    w.push(envelope::SEC_MEANS, means);
-    if let Some(ix) = &s.index {
-        let bands = (ix.band_keys().len() / k.max(1)) as u32;
-        w.push(
-            envelope::SEC_NUM_KEYS,
-            keys_section(k, bands, ix.band_keys()),
-        );
-        let mut mean = Vec::with_capacity(16 + ix.mean().len() * 8);
-        envelope::put_u64(&mut mean, 1);
-        envelope::put_u64(&mut mean, ix.mean().len() as u64);
-        for &v in ix.mean() {
-            envelope::put_f64(&mut mean, v);
-        }
-        w.push(envelope::SEC_NUM_MEAN, mean);
-    }
-}
-
 /// `u64 k, u64 bands`, then the item-major `k × bands` key buffer.
-fn keys_section(k: usize, bands: u32, keys: &[u64]) -> Vec<u8> {
-    debug_assert_eq!(keys.len(), k * bands as usize);
+fn keys_section(k: usize, keys: &[u64]) -> Vec<u8> {
+    let bands = keys.len() / k.max(1);
     let mut out = Vec::with_capacity(16 + keys.len() * 8);
     envelope::put_u64(&mut out, k as u64);
-    envelope::put_u64(&mut out, u64::from(bands));
+    envelope::put_u64(&mut out, bands as u64);
     for &key in keys {
         envelope::put_u64(&mut out, key);
+    }
+    out
+}
+
+/// `u64 rows, u64 cols`, then the row-major `rows × cols` floats.
+fn f64_section(rows: usize, cols: usize, values: &[f64]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(16 + values.len() * 8);
+    envelope::put_u64(&mut out, rows as u64);
+    envelope::put_u64(&mut out, cols as u64);
+    for &v in values {
+        envelope::put_f64(&mut out, v);
     }
     out
 }
@@ -977,19 +791,10 @@ fn decode_v2(bytes: &[u8]) -> Result<FittedModel, ModelError> {
         .map_err(|_| corrupt("spec section is not UTF-8"))?;
     let spec: ClusterSpec =
         serde_json::from_str(spec_text).map_err(|e| ModelError::Json(e.to_string()))?;
-    let modality = sections.require(envelope::SEC_MODALITY)?;
-    let kind = match modality {
-        [0] => ModelKind::Categorical(decode_categorical(&sections, &spec)?),
-        [1] => ModelKind::Numeric(decode_numeric(&sections, &spec)?),
-        [2] => {
-            let cat = decode_categorical(&sections, &spec)?;
-            let num = decode_numeric(&sections, &spec)?;
-            let gamma_bytes = sections.require(envelope::SEC_GAMMA)?;
-            let gamma = <[u8; 8]>::try_from(gamma_bytes)
-                .map(f64::from_le_bytes)
-                .map_err(|_| corrupt("gamma section is not exactly 8 bytes"))?;
-            ModelKind::Mixed(MixedServer { cat, num, gamma })
-        }
+    let (has_modes, has_means) = match sections.require(envelope::SEC_MODALITY)? {
+        [0] => (true, false),
+        [1] => (false, true),
+        [2] => (true, true),
         other => {
             return Err(corrupt(format!(
                 "modality section is not one known byte ({} bytes)",
@@ -997,13 +802,92 @@ fn decode_v2(bytes: &[u8]) -> Result<FittedModel, ModelError> {
             )))
         }
     };
-    Ok(FittedModel { spec, kind })
+    let modes = match has_modes {
+        true => Some(decode_modes(&sections, &spec)?),
+        false => None,
+    };
+    let means = match has_means {
+        true => Some(decode_means(&sections, &spec)?),
+        false => None,
+    };
+    // Banding values come from parsed JSON, so they are validated (not
+    // asserted) before any `Banding` is built from them.
+    let (minhash, simhash) = spec.lsh.families();
+    let families = [minhash.filter(|_| has_modes), simhash.filter(|_| has_means)];
+    for &(bands, rows) in families.iter().flatten() {
+        if bands == 0 || rows == 0 {
+            return Err(corrupt(format!(
+                "spec banding {bands}×{rows} is not positive"
+            )));
+        }
+    }
+    let scheme = spec.lsh.index_scheme(has_modes, has_means);
+    let k = spec.k;
+    let minhash_keys = match scheme.minhash {
+        Some(banding) => Some(decode_band_keys(
+            sections.require(envelope::SEC_CAT_KEYS)?,
+            k,
+            banding.bands(),
+            "cat-band-keys",
+        )?),
+        None => None,
+    };
+    let simhash_keys = match (scheme.simhash, &means) {
+        (Some((bands, _)), Some(means)) => {
+            let keys = decode_band_keys(
+                sections.require(envelope::SEC_NUM_KEYS)?,
+                k,
+                bands,
+                "num-band-keys",
+            )?;
+            let (one, mdim, mean_cells) = envelope::matrix_frame(
+                sections.require(envelope::SEC_NUM_MEAN)?,
+                8,
+                "num-index-mean",
+            )?;
+            if one != 1 || mdim != means.dim {
+                return Err(corrupt(format!(
+                    "num-index-mean section is {one}×{mdim}, model expects 1×{}",
+                    means.dim
+                )));
+            }
+            Some((keys, f64_cells(mean_cells)))
+        }
+        _ => None,
+    };
+    let gamma = match has_modes && has_means {
+        true => {
+            let gamma_bytes = sections.require(envelope::SEC_GAMMA)?;
+            let gamma = <[u8; 8]>::try_from(gamma_bytes)
+                .map(f64::from_le_bytes)
+                .map_err(|_| corrupt("gamma section is not exactly 8 bytes"))?;
+            Some(gamma)
+        }
+        false => None,
+    };
+    let index = (!scheme.is_none()).then(|| {
+        CentroidIndex::from_band_keys(
+            scheme,
+            spec.seed,
+            INDEX_SALTS,
+            k,
+            minhash_keys,
+            simhash_keys,
+        )
+    });
+    Ok(FittedModel {
+        spec,
+        modes,
+        means,
+        gamma,
+        index,
+    })
 }
 
-fn decode_categorical(
+fn decode_modes(
     sections: &envelope::Sections<'_>,
     spec: &ClusterSpec,
-) -> Result<CategoricalServer, ModelError> {
+) -> Result<(Schema, Modes), ModelError> {
     let schema_text = std::str::from_utf8(sections.require(envelope::SEC_SCHEMA)?)
         .map_err(|_| corrupt("schema section is not UTF-8"))?;
     let schema: Schema =
@@ -1017,100 +901,23 @@ fn decode_categorical(
     let modes = Modes::from_parts(k, n_attrs, values);
     check_mode_arity(&schema, &modes).map_err(|e| corrupt(e.0))?;
     check_cluster_count(modes.k(), spec.k).map_err(|e| corrupt(e.0))?;
-    let index = match spec.lsh {
-        Lsh::MinHash { bands, rows } | Lsh::Union { bands, rows, .. } => {
-            let banding = banding_of(bands, rows)?;
-            let keys = decode_band_keys(
-                sections.require(envelope::SEC_CAT_KEYS)?,
-                k,
-                bands,
-                "cat-band-keys",
-            )?;
-            Some(CatIndex::from_band_keys(
-                banding,
-                spec.seed ^ CAT_INDEX_SALT,
-                keys,
-                k,
-            ))
-        }
-        _ => None,
-    };
-    Ok(CategoricalServer {
-        schema,
-        modes,
-        index,
-    })
+    Ok((schema, modes))
 }
 
-fn decode_numeric(
+fn decode_means(
     sections: &envelope::Sections<'_>,
     spec: &ClusterSpec,
-) -> Result<NumericServer, ModelError> {
+) -> Result<Means, ModelError> {
     let (k, dim, cells) =
         envelope::matrix_frame(sections.require(envelope::SEC_MEANS)?, 8, "means")?;
     if dim == 0 {
         return Err(corrupt("means section declares dim 0"));
     }
     check_cluster_count(k, spec.k).map_err(|e| corrupt(e.0))?;
-    let centroids = f64_cells(cells);
-    let banding = match spec.lsh {
-        Lsh::SimHash { bands, rows } => Some((bands, rows)),
-        Lsh::Union {
-            sim_bands,
-            sim_rows,
-            ..
-        } => Some((sim_bands, sim_rows)),
-        _ => None,
-    };
-    let index = match banding {
-        Some((bands, rows)) => {
-            banding_of(bands, rows)?;
-            let keys = decode_band_keys(
-                sections.require(envelope::SEC_NUM_KEYS)?,
-                k,
-                bands,
-                "num-band-keys",
-            )?;
-            let (one, mdim, mean_cells) = envelope::matrix_frame(
-                sections.require(envelope::SEC_NUM_MEAN)?,
-                8,
-                "num-index-mean",
-            )?;
-            if one != 1 || mdim != dim {
-                return Err(corrupt(format!(
-                    "num-index-mean section is {one}×{mdim}, model expects 1×{dim}"
-                )));
-            }
-            let identity: Vec<ClusterId> = (0..k as u32).map(ClusterId).collect();
-            Some(SimHashIndex::from_band_keys(
-                dim,
-                bands,
-                rows,
-                spec.seed ^ NUM_INDEX_SALT,
-                f64_cells(mean_cells),
-                keys,
-                &identity,
-            ))
-        }
-        None => None,
-    };
-    Ok(NumericServer {
+    Ok(Means {
         dim,
-        centroids,
-        index,
+        values: f64_cells(cells),
     })
-}
-
-/// Spec-level banding values come from parsed JSON, so they are validated
-/// (not asserted) before [`Banding::new`] — hostile input must error, never
-/// panic.
-fn banding_of(bands: u32, rows: u32) -> Result<Banding, ModelError> {
-    if bands == 0 || rows == 0 {
-        return Err(corrupt(format!(
-            "spec banding {bands}×{rows} is not positive"
-        )));
-    }
-    Ok(Banding::new(bands, rows))
 }
 
 /// Decodes a band-key section, cross-checking its own `k × bands` header
@@ -1138,15 +945,6 @@ fn f64_cells(cells: &[u8]) -> Vec<f64> {
         .chunks_exact(8)
         .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
         .collect()
-}
-
-/// Per-worker scratch for the crate-internal serving path
-/// ([`crate::serve::ModelServer`]): one variant per modality, created
-/// against a model snapshot and reused across a whole micro-batch.
-pub(crate) enum ServeScratch {
-    Cat(CatScratch),
-    Num(NumScratch),
-    Mixed(MixedScratch),
 }
 
 /// A batch dataset's `ValueId`s only mean what the model thinks they mean if
@@ -1199,37 +997,35 @@ impl fmt::Debug for FittedModel {
 // Only spec + centroids are stored; indexes rebuild on load.
 impl Serialize for FittedModel {
     fn to_value(&self) -> Value {
-        let payload = match &self.kind {
-            ModelKind::Categorical(s) => tagged(
+        let payload = match (&self.modes, &self.means) {
+            (Some((schema, modes)), None) => tagged(
                 "Categorical",
                 vec![
-                    ("schema".to_owned(), s.schema.to_value()),
-                    ("modes".to_owned(), s.modes.to_value()),
+                    ("schema".to_owned(), schema.to_value()),
+                    ("modes".to_owned(), modes.to_value()),
                 ],
             ),
-            ModelKind::Numeric(s) => tagged(
+            (None, Some(means)) => tagged(
                 "Numeric",
                 vec![
-                    ("dim".to_owned(), s.dim.to_value()),
-                    ("centroids".to_owned(), s.centroids.to_value()),
+                    ("dim".to_owned(), means.dim.to_value()),
+                    ("centroids".to_owned(), means.values.to_value()),
                 ],
             ),
-            ModelKind::Mixed(s) => tagged(
-                "Mixed",
-                vec![
-                    ("schema".to_owned(), s.cat.schema.to_value()),
-                    (
-                        "prototypes".to_owned(),
-                        Prototypes::from_parts(
-                            s.cat.modes.clone(),
-                            s.num.centroids.clone(),
-                            s.num.dim,
-                        )
-                        .to_value(),
-                    ),
-                    ("gamma".to_owned(), s.gamma.to_value()),
-                ],
-            ),
+            _ => {
+                let (schema, (prototypes, gamma)) = self
+                    .schema()
+                    .zip(self.warm_prototypes())
+                    .expect("a model has modes, means or both; mixed ones carry γ");
+                tagged(
+                    "Mixed",
+                    vec![
+                        ("schema".to_owned(), schema.to_value()),
+                        ("prototypes".to_owned(), prototypes.to_value()),
+                        ("gamma".to_owned(), gamma.to_value()),
+                    ],
+                )
+            }
         };
         Value::Object(vec![
             ("format".to_owned(), Value::String(MODEL_FORMAT.to_owned())),
@@ -1339,62 +1135,28 @@ pub trait PredictInput {
 
 impl PredictInput for &Dataset {
     fn predict_with(self, model: &FittedModel) -> Result<Vec<ClusterId>, ModelError> {
-        let server = model.categorical_server("categorical")?;
-        check_shape("attributes", server.schema.n_attrs(), self.n_attrs())?;
-        check_encoding(&server.schema, self.schema())?;
-        Ok(chunked_map(
-            self.n_items(),
-            model.spec.threads,
-            || server.scratch(),
-            |item, scratch| server.predict_row(self.row(item as usize), scratch),
-        ))
+        model.check_query(Some(self.n_attrs()), Some(self.schema()), None)?;
+        model.assign_batch(self.n_items(), |item| (Some(self.row(item)), None))
     }
 }
 
 impl PredictInput for &NumericDataset {
     fn predict_with(self, model: &FittedModel) -> Result<Vec<ClusterId>, ModelError> {
-        let ModelKind::Numeric(server) = &model.kind else {
-            return Err(ModelError::WrongModality {
-                expected: model.modality(),
-                got: "numeric",
-            });
-        };
-        check_shape("dimensions", server.dim, self.dim())?;
-        Ok(chunked_map(
-            self.n_items(),
-            model.spec.threads,
-            || server.scratch(),
-            |item, scratch| server.predict_point(self.row(item as usize), scratch),
-        ))
+        model.check_query(None, None, Some(self.dim()))?;
+        model.assign_batch(self.n_items(), |item| (None, Some(self.row(item))))
     }
 }
 
 impl PredictInput for &MixedDataset<'_> {
     fn predict_with(self, model: &FittedModel) -> Result<Vec<ClusterId>, ModelError> {
-        let ModelKind::Mixed(server) = &model.kind else {
-            return Err(ModelError::WrongModality {
-                expected: model.modality(),
-                got: "mixed",
-            });
-        };
-        check_shape(
-            "attributes",
-            server.cat.schema.n_attrs(),
-            self.categorical.n_attrs(),
+        let cat = self.categorical;
+        model.check_query(
+            Some(cat.n_attrs()),
+            Some(cat.schema()),
+            Some(self.numeric.dim()),
         )?;
-        check_encoding(&server.cat.schema, self.categorical.schema())?;
-        check_shape("dimensions", server.num.dim, self.numeric.dim())?;
-        Ok(chunked_map(
-            self.n_items(),
-            model.spec.threads,
-            || server.scratch(),
-            |item, scratch| {
-                server.predict_row(
-                    self.categorical.row(item as usize),
-                    self.numeric.row(item as usize),
-                    scratch,
-                )
-            },
-        ))
+        model.assign_batch(self.n_items(), |item| {
+            (Some(cat.row(item)), Some(self.numeric.row(item)))
+        })
     }
 }

@@ -48,8 +48,9 @@
 pub mod proto;
 pub mod socket;
 
-use crate::model::{FittedModel, ModelError, ServeScratch};
+use crate::model::{FittedModel, ModelError};
 use lshclust_categorical::{ClusterId, ValueId};
+use lshclust_core::centroid_index::IndexScratch;
 use lshclust_core::parallel::{chunked_map, AdaptiveWindow, MicroBatchQueue, QueuePushError};
 use std::collections::HashMap;
 use std::fmt;
@@ -879,7 +880,7 @@ fn worker_loop(
     let mut batch: Vec<Request> = Vec::new();
     // Worker-local scratch reused across batches, keyed by the generation it
     // was built against (a reload can change k, schema, even modality).
-    let mut cached: Option<(u64, ServeScratch)> = None;
+    let mut cached: Option<(u64, IndexScratch)> = None;
     // Per-worker flush-window controller: each worker sees its own share of
     // the load, which is exactly the signal its window should follow.
     let mut window = AdaptiveWindow::new();
@@ -901,7 +902,7 @@ fn worker_loop(
                 chunked_map(
                     batch.len(),
                     threads,
-                    || model.serve_scratch(),
+                    || model.scratch(),
                     |i, scratch| {
                         Some(serve_request(
                             &model,
@@ -922,7 +923,7 @@ fn worker_loop(
                         scratch
                     }
                     slot => {
-                        *slot = Some((generation, model.serve_scratch()));
+                        *slot = Some((generation, model.scratch()));
                         &mut slot.as_mut().expect("just set").1
                     }
                 };
@@ -979,7 +980,7 @@ fn serve_request(
     generation: u64,
     now: Instant,
     request: &Request,
-    scratch: &mut ServeScratch,
+    scratch: &mut IndexScratch,
 ) -> Served {
     if request.deadline.is_some_and(|deadline| deadline <= now) {
         return Served::Expired;
@@ -993,22 +994,18 @@ fn serve_request(
 fn serve_one(
     model: &FittedModel,
     payload: &Payload,
-    scratch: &mut ServeScratch,
+    scratch: &mut IndexScratch,
 ) -> Result<ClusterId, ModelError> {
+    let encode = |row: &[String]| {
+        let refs: Vec<&str> = row.iter().map(String::as_str).collect();
+        model.encode_row(&refs)
+    };
     match payload {
-        Payload::Row(row) => model.predict_row_with(row, scratch),
-        Payload::Point(point) => model.predict_point_with(point, scratch),
-        Payload::Mixed(row, point) => model.predict_mixed_with(row, point, scratch),
-        Payload::StrRow(row) => {
-            let refs: Vec<&str> = row.iter().map(String::as_str).collect();
-            let encoded = model.encode_row(&refs)?;
-            model.predict_row_with(&encoded, scratch)
-        }
-        Payload::StrMixed(row, point) => {
-            let refs: Vec<&str> = row.iter().map(String::as_str).collect();
-            let encoded = model.encode_row(&refs)?;
-            model.predict_mixed_with(&encoded, point, scratch)
-        }
+        Payload::Row(row) => model.assign(Some(row), None, scratch),
+        Payload::Point(point) => model.assign(None, Some(point), scratch),
+        Payload::Mixed(row, point) => model.assign(Some(row), Some(point), scratch),
+        Payload::StrRow(row) => model.assign(Some(&encode(row)?), None, scratch),
+        Payload::StrMixed(row, point) => model.assign(Some(&encode(row)?), Some(point), scratch),
     }
 }
 

@@ -27,6 +27,7 @@ use crate::model::ModelError;
 use crate::spec::{Lsh, SpecError};
 use crate::FittedModel;
 use lshclust_categorical::{dissimilarity, Dataset, Schema, ValueId};
+use lshclust_core::centroid_index::{CentroidIndex, CentroidRows, Salts};
 use lshclust_core::mhkmeans::SimHashIndex;
 use lshclust_core::parallel::{chunked_map, hash_band_keys_parallel};
 use lshclust_core::sim::{
@@ -38,11 +39,13 @@ use lshclust_minhash::index::LshIndexBuilder;
 use lshclust_minhash::Banding;
 use serde;
 
-/// Salt decorrelating the similarity workloads' MinHash family from the
-/// fit-time item index and the centroid indexes ("sim-mh").
-const CAT_SIM_SALT: u64 = 0x7369_6d2d_6d68;
-/// Salt decorrelating the similarity workloads' SimHash family ("sim-sh").
-const NUM_SIM_SALT: u64 = 0x7369_6d2d_7368;
+/// Salts decorrelating the similarity workloads' hash families from the
+/// fit-time item index and the other centroid indexes ("sim-mh" /
+/// "sim-sh").
+const SIM_SALTS: Salts = Salts {
+    minhash: 0x7369_6d2d_6d68,
+    simhash: 0x7369_6d2d_7368,
+};
 
 /// Specification of a similarity workload: the LSH scheme nominating
 /// candidate pairs, the exact-distance threshold, and the execution knobs.
@@ -323,8 +326,8 @@ impl SimInput for Dataset {
     fn candidates(&self, spec: &SimSpec) -> Result<CandidatePairs, SpecError> {
         match spec.lsh {
             Lsh::MinHash { bands, rows } => {
-                let builder =
-                    LshIndexBuilder::new(Banding::new(bands, rows)).seed(spec.seed ^ CAT_SIM_SALT);
+                let builder = LshIndexBuilder::new(Banding::new(bands, rows))
+                    .seed(spec.seed ^ SIM_SALTS.minhash);
                 let keys = hash_band_keys_parallel(&builder, self, spec.threads.max(1));
                 Ok(CandidatePairs::from_band_keys(bands, keys))
             }
@@ -353,7 +356,7 @@ impl SimInput for NumericDataset {
                     self,
                     bands,
                     rows,
-                    spec.seed ^ NUM_SIM_SALT,
+                    spec.seed ^ SIM_SALTS.simhash,
                     spec.threads.max(1),
                 );
                 Ok(CandidatePairs::from_band_keys(bands, keys))
@@ -385,14 +388,14 @@ impl SimInput for MixedDataset<'_> {
                 sim_rows,
             } => {
                 let threads = spec.threads.max(1);
-                let builder =
-                    LshIndexBuilder::new(Banding::new(bands, rows)).seed(spec.seed ^ CAT_SIM_SALT);
+                let builder = LshIndexBuilder::new(Banding::new(bands, rows))
+                    .seed(spec.seed ^ SIM_SALTS.minhash);
                 let cat_keys = hash_band_keys_parallel(&builder, self.categorical, threads);
                 let (num_keys, _mean) = SimHashIndex::hash_band_keys(
                     self.numeric,
                     sim_bands,
                     sim_rows,
-                    spec.seed ^ NUM_SIM_SALT,
+                    spec.seed ^ SIM_SALTS.simhash,
                     threads,
                 );
                 let keys = concat_band_keys(self.n_items(), bands, &cat_keys, sim_bands, &num_keys);
@@ -574,10 +577,11 @@ impl Sim {
     /// recording a deterministic dendrogram.
     ///
     /// Under an LSH scheme the closest-pair search is **shortlisted**: each
-    /// step hashes the active representatives into the candidate core and
-    /// only bucket-colliding pairs are scored; when a step's shortlist
-    /// nominates no pair at all, the engine falls back to the exact full
-    /// pair search (counted in [`Dendrogram::fallback_steps`]).
+    /// step hashes the active representatives through a [`CentroidIndex`]
+    /// into the candidate core and only bucket-colliding pairs are scored;
+    /// when a step's shortlist nominates no pair at all, the engine falls
+    /// back to the exact full pair search (counted in
+    /// [`Dendrogram::fallback_steps`]).
     /// [`Lsh::None`] selects the exact full search throughout.
     ///
     /// Merged representatives: numeric parts take the weighted mean of the
@@ -589,25 +593,19 @@ impl Sim {
     pub fn hierarchy(&self, model: &FittedModel) -> Result<Dendrogram, SpecError> {
         let threads = self.spec.threads.max(1);
         let k = model.k();
-        let nodes = leaves_of(model, &self.spec)?;
-        let kernel = match &nodes.kind {
-            NodeKind::Categorical { .. } => "categorical",
-            NodeKind::Numeric { .. } => "numeric",
-            NodeKind::Mixed { .. } => "mixed",
-        };
-        match (&nodes.kind, self.spec.lsh) {
+        match (model.modality(), self.spec.lsh) {
             (_, Lsh::None)
-            | (NodeKind::Categorical { .. }, Lsh::MinHash { .. })
-            | (NodeKind::Numeric { .. }, Lsh::SimHash { .. })
-            | (NodeKind::Mixed { .. }, Lsh::Union { .. }) => {}
-            (_, other) => {
+            | ("categorical", Lsh::MinHash { .. })
+            | ("numeric", Lsh::SimHash { .. })
+            | ("mixed", Lsh::Union { .. }) => {}
+            (modality, other) => {
                 return Err(SpecError::UnsupportedLsh {
-                    modality: kernel,
+                    modality,
                     lsh: other.name(),
                 })
             }
         }
-        let mut active = nodes;
+        let mut active = ActiveNodes::leaves_of(model, &self.spec);
         let mut merges = Vec::with_capacity(k.saturating_sub(1));
         let mut fallback_steps = 0usize;
         let mut next_id = k as u32;
@@ -643,119 +641,52 @@ impl Sim {
 
 // --- hierarchy internals ----------------------------------------------------
 
-/// The per-modality representative buffers of the active clusters. Nodes are
-/// kept in ascending node-id order throughout (merges remove two nodes and
-/// append a fresh, higher id), so positions and ids sort identically and
-/// every tie-break on position is a tie-break on id.
+/// The representative buffers of the active clusters. Nodes are kept in
+/// ascending node-id order throughout (merges remove two nodes and append a
+/// fresh, higher id), so positions and ids sort identically and every
+/// tie-break on position is a tie-break on id.
 struct ActiveNodes<'m> {
     ids: Vec<u32>,
     /// Leaves absorbed per active node (merge weights).
     weights: Vec<u64>,
-    kind: NodeKind<'m>,
+    /// The mode part: `n_active × n_attrs` rows under the model's schema.
+    modes: Option<(&'m Schema, Vec<ValueId>)>,
+    /// The mean part: `(dim, n_active × dim rows)`.
+    means: Option<(usize, Vec<f64>)>,
+    /// Weight of the mean part in the distance: γ for mixed models, 1 for
+    /// numeric ones.
+    gamma: f64,
 }
 
-enum NodeKind<'m> {
-    Categorical {
-        schema: &'m Schema,
-        n_attrs: usize,
-        /// `n_active × n_attrs` representative rows, node-major.
-        rows: Vec<ValueId>,
-    },
-    Numeric {
-        dim: usize,
-        /// `n_active × dim` representative vectors, node-major.
-        rows: Vec<f64>,
-    },
-    Mixed {
-        schema: &'m Schema,
-        n_attrs: usize,
-        cat_rows: Vec<ValueId>,
-        dim: usize,
-        num_rows: Vec<f64>,
-        gamma: f64,
-    },
-}
+impl<'m> ActiveNodes<'m> {
+    /// One node per centroid of `model`.
+    fn leaves_of(model: &'m FittedModel, spec: &SimSpec) -> Self {
+        let rows = model.centroid_rows();
+        Self {
+            ids: (0..rows.k as u32).collect(),
+            weights: vec![1; rows.k],
+            modes: rows.modes.map(|(schema, values)| (schema, values.to_vec())),
+            means: rows.means.map(|(dim, values)| (dim, values.to_vec())),
+            gamma: model.gamma().map_or(1.0, |g| spec.gamma.unwrap_or(g)),
+        }
+    }
 
-fn leaves_of<'m>(model: &'m FittedModel, spec: &SimSpec) -> Result<ActiveNodes<'m>, SpecError> {
-    let k = model.k();
-    let kind = if let Some(modes) = model.warm_modes() {
-        let schema = model.schema().expect("categorical model carries a schema");
-        let n_attrs = modes.n_attrs();
-        let mut rows = Vec::with_capacity(k * n_attrs);
-        for c in 0..k {
-            rows.extend_from_slice(modes.mode(c));
-        }
-        NodeKind::Categorical {
-            schema,
-            n_attrs,
-            rows,
-        }
-    } else if let Some((dim, centroids)) = model.warm_means() {
-        NodeKind::Numeric {
-            dim,
-            rows: centroids.to_vec(),
-        }
-    } else {
-        let (prototypes, model_gamma) = model
-            .warm_prototypes()
-            .expect("model is categorical, numeric or mixed");
-        let schema = model.schema().expect("mixed model carries a schema");
-        let n_attrs = prototypes.modes.n_attrs();
-        let mut cat_rows = Vec::with_capacity(k * n_attrs);
-        for c in 0..k {
-            cat_rows.extend_from_slice(prototypes.modes.mode(c));
-        }
-        NodeKind::Mixed {
-            schema,
-            n_attrs,
-            cat_rows,
-            dim: prototypes.dim(),
-            num_rows: prototypes.means.clone(),
-            gamma: spec.gamma.unwrap_or(model_gamma),
-        }
-    };
-    Ok(ActiveNodes {
-        ids: (0..k as u32).collect(),
-        weights: vec![1; k],
-        kind,
-    })
-}
-
-impl ActiveNodes<'_> {
     fn len(&self) -> usize {
         self.ids.len()
     }
 
-    /// Exact centroid distance between active positions `a` and `b`.
+    /// Exact centroid distance between active positions `a` and `b`: the
+    /// fit kernels' matching dissimilarity plus γ × squared Euclidean.
     fn distance(&self, a: usize, b: usize) -> f64 {
-        match &self.kind {
-            NodeKind::Categorical { n_attrs, rows, .. } => {
-                let x = &rows[a * n_attrs..(a + 1) * n_attrs];
-                let y = &rows[b * n_attrs..(b + 1) * n_attrs];
-                f64::from(dissimilarity::matching(x, y))
-            }
-            NodeKind::Numeric { dim, rows } => {
-                sq_euclidean(&rows[a * dim..(a + 1) * dim], &rows[b * dim..(b + 1) * dim])
-            }
-            NodeKind::Mixed {
-                n_attrs,
-                cat_rows,
-                dim,
-                num_rows,
-                gamma,
-                ..
-            } => {
-                let cat = dissimilarity::matching(
-                    &cat_rows[a * n_attrs..(a + 1) * n_attrs],
-                    &cat_rows[b * n_attrs..(b + 1) * n_attrs],
-                );
-                let num = sq_euclidean(
-                    &num_rows[a * dim..(a + 1) * dim],
-                    &num_rows[b * dim..(b + 1) * dim],
-                );
-                f64::from(cat) + gamma * num
-            }
-        }
+        let cat = self.modes.as_ref().map_or(0.0, |(schema, rows)| {
+            let w = schema.n_attrs();
+            let (x, y) = (&rows[a * w..(a + 1) * w], &rows[b * w..(b + 1) * w]);
+            f64::from(dissimilarity::matching(x, y))
+        });
+        let num = self.means.as_ref().map_or(0.0, |(w, rows)| {
+            sq_euclidean(&rows[a * w..(a + 1) * w], &rows[b * w..(b + 1) * w])
+        });
+        cat + self.gamma * num
     }
 
     /// Merges positions `a < b` into a fresh node `new_id`: numeric parts
@@ -767,60 +698,19 @@ impl ActiveNodes<'_> {
         let (wa, wb) = (self.weights[a], self.weights[b]);
         let take_a = wa >= wb; // tie → lower node id
         let total = wa + wb;
-        match &mut self.kind {
-            NodeKind::Categorical { n_attrs, rows, .. } => {
-                let w = *n_attrs;
-                let merged: Vec<ValueId> = (0..w)
-                    .map(|attr| {
-                        if take_a {
-                            rows[a * w + attr]
-                        } else {
-                            rows[b * w + attr]
-                        }
-                    })
-                    .collect();
-                remove_rows(rows, w, a, b);
-                rows.extend_from_slice(&merged);
-            }
-            NodeKind::Numeric { dim, rows } => {
-                let w = *dim;
-                let merged: Vec<f64> = (0..w)
-                    .map(|d| {
-                        (wa as f64 * rows[a * w + d] + wb as f64 * rows[b * w + d]) / total as f64
-                    })
-                    .collect();
-                remove_rows(rows, w, a, b);
-                rows.extend_from_slice(&merged);
-            }
-            NodeKind::Mixed {
-                n_attrs,
-                cat_rows,
-                dim,
-                num_rows,
-                ..
-            } => {
-                let w = *n_attrs;
-                let merged_cat: Vec<ValueId> = (0..w)
-                    .map(|attr| {
-                        if take_a {
-                            cat_rows[a * w + attr]
-                        } else {
-                            cat_rows[b * w + attr]
-                        }
-                    })
-                    .collect();
-                remove_rows(cat_rows, w, a, b);
-                cat_rows.extend_from_slice(&merged_cat);
-                let w = *dim;
-                let merged_num: Vec<f64> = (0..w)
-                    .map(|d| {
-                        (wa as f64 * num_rows[a * w + d] + wb as f64 * num_rows[b * w + d])
-                            / total as f64
-                    })
-                    .collect();
-                remove_rows(num_rows, w, a, b);
-                num_rows.extend_from_slice(&merged_num);
-            }
+        if let Some((schema, rows)) = &mut self.modes {
+            merge_rows(
+                rows,
+                schema.n_attrs(),
+                a,
+                b,
+                |x, y| if take_a { x } else { y },
+            );
+        }
+        if let Some((dim, rows)) = &mut self.means {
+            merge_rows(rows, *dim, a, b, |x, y| {
+                (wa as f64 * x + wb as f64 * y) / total as f64
+            });
         }
         self.ids.remove(b);
         self.ids.remove(a);
@@ -830,75 +720,42 @@ impl ActiveNodes<'_> {
         self.weights.push(total);
     }
 
-    /// Hashes the active representatives into the candidate core with the
-    /// spec's scheme (the hierarchy's per-step shortlist source).
-    fn candidates(&self, spec: &SimSpec, threads: usize) -> CandidatePairs {
-        let n = self.len();
-        match (&self.kind, spec.lsh) {
-            (
-                NodeKind::Categorical {
-                    schema,
-                    n_attrs,
-                    rows,
-                },
-                Lsh::MinHash { bands, rows: r },
-            ) => {
-                let builder =
-                    LshIndexBuilder::new(Banding::new(bands, r)).seed(spec.seed ^ CAT_SIM_SALT);
-                let index = builder.build_centroids(schema, rows.chunks(*n_attrs.max(&1)), n);
-                CandidatePairs::from_item_index(&index)
-            }
-            (NodeKind::Numeric { dim, rows }, Lsh::SimHash { bands, rows: r }) => {
-                let data = NumericDataset::new(*dim, rows.clone());
-                let (keys, _mean) = SimHashIndex::hash_band_keys(
-                    &data,
-                    bands,
-                    r,
-                    spec.seed ^ NUM_SIM_SALT,
-                    threads,
-                );
-                CandidatePairs::from_band_keys(bands, keys)
-            }
-            (
-                NodeKind::Mixed {
-                    schema,
-                    n_attrs,
-                    cat_rows,
-                    dim,
-                    num_rows,
-                    ..
-                },
-                Lsh::Union {
-                    bands,
-                    rows: r,
-                    sim_bands,
-                    sim_rows,
-                },
-            ) => {
-                let builder =
-                    LshIndexBuilder::new(Banding::new(bands, r)).seed(spec.seed ^ CAT_SIM_SALT);
-                let index = builder.build_centroids(schema, cat_rows.chunks(*n_attrs.max(&1)), n);
-                let data = NumericDataset::new(*dim, num_rows.clone());
-                let (num_keys, _mean) = SimHashIndex::hash_band_keys(
-                    &data,
-                    sim_bands,
-                    sim_rows,
-                    spec.seed ^ NUM_SIM_SALT,
-                    threads,
-                );
-                let keys = concat_band_keys(n, bands, index.band_keys(), sim_bands, &num_keys);
-                CandidatePairs::from_band_keys(bands + sim_bands, keys)
-            }
-            _ => unreachable!("scheme/modality agreement was validated at entry"),
-        }
+    /// Hashes the active representatives through a centroid index with the
+    /// spec's scheme and buckets every node's band keys (the hierarchy's
+    /// per-step shortlist source).
+    fn candidates(&self, spec: &SimSpec) -> CandidatePairs {
+        let rows = CentroidRows {
+            k: self.len(),
+            modes: self
+                .modes
+                .as_ref()
+                .map(|(schema, rows)| (*schema, &rows[..])),
+            means: self.means.as_ref().map(|(dim, rows)| (*dim, &rows[..])),
+        };
+        let scheme = spec
+            .lsh
+            .index_scheme(rows.modes.is_some(), rows.means.is_some());
+        let (bands, keys) = CentroidIndex::build(scheme, spec.seed, SIM_SALTS, rows).band_keys();
+        CandidatePairs::from_band_keys(bands, keys)
     }
 }
 
-/// Removes node-major rows `a < b` of width `w` from a flat buffer,
+/// Replaces node-major rows `a < b` of width `w` in a flat buffer with one
+/// merged row (cell by cell through `merged`) appended at the end,
 /// preserving the order of the rest.
-fn remove_rows<T: Copy>(buf: &mut Vec<T>, w: usize, a: usize, b: usize) {
-    buf.drain(b * w..(b + 1) * w);
-    buf.drain(a * w..(a + 1) * w);
+fn merge_rows<T: Copy>(
+    rows: &mut Vec<T>,
+    w: usize,
+    a: usize,
+    b: usize,
+    merged: impl Fn(T, T) -> T,
+) {
+    let row: Vec<T> = (0..w)
+        .map(|i| merged(rows[a * w + i], rows[b * w + i]))
+        .collect();
+    rows.drain(b * w..(b + 1) * w);
+    rows.drain(a * w..(a + 1) * w);
+    rows.extend_from_slice(&row);
 }
 
 /// The closest bucket-colliding active pair `(pos_a, pos_b, distance)`, or
@@ -910,7 +767,7 @@ fn closest_shortlisted(
     spec: &SimSpec,
     threads: usize,
 ) -> Option<(usize, usize, f64)> {
-    let candidates = active.candidates(spec, threads);
+    let candidates = active.candidates(spec);
     let per_node: Vec<Option<(f64, u32, u32)>> = chunked_map(
         active.len(),
         threads,

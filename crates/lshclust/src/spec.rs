@@ -1,9 +1,10 @@
 //! The unified run specification: [`ClusterSpec`] and its parts.
 
+use lshclust_core::centroid_index::IndexScheme;
 use lshclust_core::framework::StopPolicy;
 use lshclust_kmodes::init::InitMethod;
 use lshclust_kmodes::kmeans::KMeansInit;
-use lshclust_minhash::QueryMode;
+use lshclust_minhash::{Banding, QueryMode};
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 use std::fmt;
 
@@ -53,7 +54,39 @@ impl Lsh {
             Lsh::Union { .. } => "Union",
         }
     }
+
+    /// `(bands, rows)` of the MinHash and of the SimHash family the scheme
+    /// uses, unvalidated.
+    pub(crate) fn families(&self) -> (Option<Bands>, Option<Bands>) {
+        match *self {
+            Lsh::None => (None, None),
+            Lsh::MinHash { bands, rows } => (Some((bands, rows)), None),
+            Lsh::SimHash { bands, rows } => (None, Some((bands, rows))),
+            Lsh::Union {
+                bands,
+                rows,
+                sim_bands,
+                sim_rows,
+            } => (Some((bands, rows)), Some((sim_bands, sim_rows))),
+        }
+    }
+
+    /// The centroid-index scheme for centroids with a mode part
+    /// (`has_modes`) and/or a mean part (`has_means`): each family applies
+    /// only where its part exists.
+    pub(crate) fn index_scheme(&self, has_modes: bool, has_means: bool) -> IndexScheme {
+        let (minhash, simhash) = self.families();
+        IndexScheme {
+            minhash: minhash
+                .filter(|_| has_modes)
+                .map(|(bands, rows)| Banding::new(bands, rows)),
+            simhash: simhash.filter(|_| has_means),
+        }
+    }
 }
+
+/// `(bands, rows per band)` of one hash family.
+type Bands = (u32, u32);
 
 // External tagging, serde-style: `"None"` for the unit variant, otherwise
 // `{"MinHash": {"bands": 20, "rows": 5}}`.

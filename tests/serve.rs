@@ -786,3 +786,92 @@ proptest! {
         server.shutdown();
     }
 }
+
+// ---- non-finite query coordinates ----------------------------------------
+
+/// Asserts a served answer is the typed non-finite error for `dimension`.
+fn assert_non_finite(served: Result<lshclust::serve::Prediction, ServeError>, dimension: usize) {
+    match served {
+        Err(ServeError::Model(lshclust::ModelError::NonFinite { dimension: d })) => {
+            assert_eq!(d, dimension)
+        }
+        other => panic!("expected a non-finite error at {dimension}, got {other:?}"),
+    }
+}
+
+#[test]
+fn non_finite_points_are_typed_errors_and_never_cached() {
+    let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+    let num = num_fixture();
+    let server = ModelServer::start(num.model.clone(), coalescing_config().hot_keys(64));
+    for x in bad {
+        assert_non_finite(server.predict_point(vec![0.0, x, 0.0, 0.0]), 1);
+        // The same payload again: still scored, still an error.
+        assert_non_finite(server.predict_point(vec![0.0, x, 0.0, 0.0]), 1);
+    }
+    assert_eq!(
+        server.hot_key_stats().entries,
+        0,
+        "errors must not be cached"
+    );
+    // A finite query is answered and cached as usual.
+    let ok = server.predict_point(num.data.row(0).to_vec()).unwrap();
+    assert_eq!(ok.cluster, num.expected[0]);
+    assert_eq!(server.hot_key_stats().entries, 1);
+    server.shutdown();
+
+    let mixed = mixed_fixture();
+    let server = ModelServer::start(mixed.model.clone(), coalescing_config().hot_keys(64));
+    let row = mixed.cat.row(0).to_vec();
+    let strings = ["g0-a0", "g0-a1", "g0-a2", "g0-n0"];
+    for x in bad {
+        assert_non_finite(server.predict_mixed(row.clone(), vec![x, 0.0, 0.0]), 0);
+        assert_non_finite(server.predict_str_mixed(&strings, vec![0.0, 0.0, x]), 2);
+    }
+    assert_eq!(
+        server.hot_key_stats().entries,
+        0,
+        "errors must not be cached"
+    );
+    server.shutdown();
+}
+
+/// The NDJSON protocol behind `cluster serve` (stdin and socket fronts
+/// alike) answers a non-finite point with an `err` line. JSON has no NaN,
+/// but an overflowing literal such as `1e999` parses to infinity.
+#[test]
+fn wire_requests_with_overflowing_coordinates_get_err_lines() {
+    use lshclust::serve::proto::{render_reply, LineOutcome, ProtoEngine};
+    let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures");
+    let cases = [
+        (
+            "model-numeric.v1.json",
+            vec![
+                r#"{"predict":{"point":[1e999,0]},"id":1}"#,
+                r#"{"predict":{"point":[-1e999,1e999]},"id":2}"#,
+            ],
+        ),
+        (
+            "model-mixed.v1.json",
+            vec![
+                r#"{"predict":{"row":["g0-a0","g0-a1","g0-a2","g0-a3","g0-a4","x"],"point":[0,-1e999]},"id":3}"#,
+            ],
+        ),
+    ];
+    for (file, lines) in cases {
+        let model = FittedModel::load(fixtures.join(file)).unwrap();
+        let server = std::sync::Arc::new(ModelServer::start(model, ServerConfig::default()));
+        let engine = ProtoEngine::new(server.clone(), None);
+        for line in lines {
+            let LineOutcome::Reply(out) = engine.handle_line(line) else {
+                panic!("{file}: `{line}` was not answered");
+            };
+            let reply = render_reply(out, Duration::from_secs(20));
+            assert!(
+                reply.contains(r#""err":"#) && reply.contains("not a finite number"),
+                "{file}: `{line}` answered {reply}"
+            );
+        }
+        assert_eq!(server.hot_key_stats().entries, 0, "{file}");
+    }
+}

@@ -557,3 +557,79 @@ proptest! {
         prop_assert_eq!(back.to_json(), json);
     }
 }
+
+// ---------------------------------------------------------------------------
+// Non-finite query coordinates (NaN, ±inf) have no nearest centroid: every
+// predict entry point answers them with a typed error instead of a cluster.
+// ---------------------------------------------------------------------------
+
+const NON_FINITE: [f64; 3] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+
+/// The training points with coordinate `dimension` of item `item` replaced.
+fn with_coordinate(data: &NumericDataset, item: usize, dimension: usize, x: f64) -> NumericDataset {
+    let mut values: Vec<f64> = (0..data.n_items())
+        .flat_map(|i| data.row(i).to_vec())
+        .collect();
+    values[item * data.dim() + dimension] = x;
+    NumericDataset::new(data.dim(), values)
+}
+
+#[test]
+fn numeric_models_reject_non_finite_points() {
+    let data = num_blobs(3, 6);
+    for lsh in [Lsh::SimHash { bands: 8, rows: 2 }, Lsh::None] {
+        let run = Clusterer::new(ClusterSpec::new(3).lsh(lsh).seed(4))
+            .fit(&data)
+            .unwrap();
+        let model = &run.model;
+        for bad in NON_FINITE {
+            for dimension in 0..2 {
+                let mut point = [1.0, -1.0];
+                point[dimension] = bad;
+                assert_eq!(
+                    model.predict_point(&point),
+                    Err(ModelError::NonFinite { dimension }),
+                    "{lsh:?} point {point:?}"
+                );
+            }
+            let batch = with_coordinate(&data, 4, 1, bad);
+            assert_eq!(
+                model.predict(&batch),
+                Err(ModelError::NonFinite { dimension: 1 }),
+                "{lsh:?} batch with {bad}"
+            );
+        }
+        let err = model.predict_point(&[f64::INFINITY, 0.0]).unwrap_err();
+        assert!(err.to_string().contains("finite"), "{err}");
+        // Finite queries are unaffected.
+        assert_eq!(model.predict(&data).unwrap(), run.assignments);
+    }
+}
+
+#[test]
+fn mixed_models_reject_non_finite_points() {
+    let (cat, num) = mixed_blobs(3, 6);
+    let data = MixedDataset::new(&cat, &num);
+    let spec = ClusterSpec::new(3)
+        .lsh(Lsh::Union {
+            bands: 8,
+            rows: 2,
+            sim_bands: 8,
+            sim_rows: 2,
+        })
+        .seed(4);
+    let run = Clusterer::new(spec).fit(&data).unwrap();
+    let model = &run.model;
+    for bad in NON_FINITE {
+        assert_eq!(
+            model.predict_mixed_one(cat.row(0), &[0.0, bad]),
+            Err(ModelError::NonFinite { dimension: 1 })
+        );
+        let bad_num = with_coordinate(&num, 7, 0, bad);
+        assert_eq!(
+            model.predict(&MixedDataset::new(&cat, &bad_num)),
+            Err(ModelError::NonFinite { dimension: 0 })
+        );
+    }
+    assert_eq!(model.predict(&data).unwrap(), run.assignments);
+}
