@@ -415,7 +415,9 @@ impl FittedModel {
 
     /// Batched assignment of any supported input — a categorical
     /// [`Dataset`], a [`NumericDataset`], or a [`MixedDataset`] — fanned
-    /// over the spec's `threads` (1 ⇒ inline, no spawning).
+    /// over the spec's `threads` (1 ⇒ inline, no spawning). A NaN or
+    /// infinite coordinate anywhere in the batch is
+    /// [`ModelError::NonFinite`].
     ///
     /// ```
     /// use lshclust::{ClusterSpec, Clusterer, Lsh, NumericDataset};
@@ -441,12 +443,14 @@ impl FittedModel {
         self.assign(Some(row), None, &mut self.scratch())
     }
 
-    /// Assigns one numeric point.
+    /// Assigns one numeric point ([`ModelError::NonFinite`] for a NaN or
+    /// infinite coordinate).
     pub fn predict_point(&self, point: &[f64]) -> Result<ClusterId, ModelError> {
         self.assign(None, Some(point), &mut self.scratch())
     }
 
-    /// Assigns one mixed item (encoded categorical part + numeric part).
+    /// Assigns one mixed item (encoded categorical part + numeric part;
+    /// [`ModelError::NonFinite`] for a NaN or infinite coordinate).
     pub fn predict_mixed_one(
         &self,
         row: &[ValueId],
