@@ -96,9 +96,10 @@ struct MinHashPart {
 }
 
 impl MinHashPart {
-    fn new(banding: Banding, seed: u64, index: LshIndex) -> Self {
+    fn new(seed: u64, index: LshIndex) -> Self {
+        let family = MixHashFamily::new(index.banding().signature_len(), seed);
         Self {
-            generator: SignatureGenerator::new(MixHashFamily::new(banding.signature_len(), seed)),
+            generator: SignatureGenerator::new(family),
             index,
         }
     }
@@ -124,7 +125,7 @@ impl CentroidIndex {
                     (0..k).map(|c| &values[c * width..(c + 1) * width]),
                     k,
                 );
-                MinHashPart::new(banding, seed, index)
+                MinHashPart::new(seed, index)
             });
         let simhash = scheme
             .simhash
@@ -164,7 +165,7 @@ impl CentroidIndex {
             let index = LshIndexBuilder::new(banding)
                 .seed(seed)
                 .build_from_band_keys(keys, &identity(k));
-            MinHashPart::new(banding, seed, index)
+            MinHashPart::new(seed, index)
         });
         let simhash = scheme
             .simhash
@@ -253,6 +254,8 @@ impl CentroidIndex {
         let out = &mut minhash.clusters;
         if let (Some(index), Some(point)) = (&self.simhash, point) {
             index.shortlist_for_vector_with(point, vector, simhash, seen);
+            // SimHash candidates are already distinct; only MinHash ones
+            // can repeat them, so skip the linear scan when there are none.
             if out.is_empty() {
                 out.extend_from_slice(simhash);
             } else {

@@ -806,13 +806,15 @@ fn decode_v2(bytes: &[u8]) -> Result<FittedModel, ModelError> {
             )))
         }
     };
-    let modes = match has_modes {
-        true => Some(decode_modes(&sections, &spec)?),
-        false => None,
+    let modes = if has_modes {
+        Some(decode_modes(&sections, &spec)?)
+    } else {
+        None
     };
-    let means = match has_means {
-        true => Some(decode_means(&sections, &spec)?),
-        false => None,
+    let means = if has_means {
+        Some(decode_means(&sections, &spec)?)
+    } else {
+        None
     };
     // Banding values come from parsed JSON, so they are validated (not
     // asserted) before any `Banding` is built from them.
@@ -859,15 +861,14 @@ fn decode_v2(bytes: &[u8]) -> Result<FittedModel, ModelError> {
         }
         _ => None,
     };
-    let gamma = match has_modes && has_means {
-        true => {
-            let gamma_bytes = sections.require(envelope::SEC_GAMMA)?;
-            let gamma = <[u8; 8]>::try_from(gamma_bytes)
-                .map(f64::from_le_bytes)
-                .map_err(|_| corrupt("gamma section is not exactly 8 bytes"))?;
-            Some(gamma)
-        }
-        false => None,
+    let gamma = if has_modes && has_means {
+        let gamma_bytes = sections.require(envelope::SEC_GAMMA)?;
+        let gamma = <[u8; 8]>::try_from(gamma_bytes)
+            .map(f64::from_le_bytes)
+            .map_err(|_| corrupt("gamma section is not exactly 8 bytes"))?;
+        Some(gamma)
+    } else {
+        None
     };
     let index = (!scheme.is_none()).then(|| {
         CentroidIndex::from_band_keys(
