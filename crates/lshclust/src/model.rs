@@ -816,17 +816,7 @@ fn decode_v2(bytes: &[u8]) -> Result<FittedModel, ModelError> {
     } else {
         None
     };
-    // Banding values come from parsed JSON, so they are validated (not
-    // asserted) before any `Banding` is built from them.
-    let (minhash, simhash) = spec.lsh.families();
-    let families = [minhash.filter(|_| has_modes), simhash.filter(|_| has_means)];
-    for &(bands, rows) in families.iter().flatten() {
-        if bands == 0 || rows == 0 {
-            return Err(corrupt(format!(
-                "spec banding {bands}×{rows} is not positive"
-            )));
-        }
-    }
+    check_banding(&spec.lsh, has_modes, has_means).map_err(|e| corrupt(e.0))?;
     let scheme = spec.lsh.index_scheme(has_modes, has_means);
     let k = spec.k;
     let minhash_keys = match scheme.minhash {
@@ -1061,25 +1051,25 @@ impl Deserialize for FittedModel {
                 "FittedModel",
             ));
         };
-        match tag.as_str() {
+        let (modes, means, gamma) = match tag.as_str() {
             "Categorical" => {
                 let schema: Schema = field_of(body, "schema")?;
                 let modes: Modes = field_of(body, "modes")?;
                 check_mode_arity(&schema, &modes)?;
                 check_cluster_count(modes.k(), spec.k)?;
-                Ok(FittedModel::categorical(spec, schema, modes))
+                (Some((schema, modes)), None, None)
             }
             "Numeric" => {
                 let dim: usize = field_of(body, "dim")?;
-                let centroids: Vec<f64> = field_of(body, "centroids")?;
-                if dim == 0 || !centroids.len().is_multiple_of(dim) {
+                let values: Vec<f64> = field_of(body, "centroids")?;
+                if dim == 0 || !values.len().is_multiple_of(dim) {
                     return Err(SerdeError(format!(
                         "centroid buffer of {} values is not k×dim with dim {dim}",
-                        centroids.len()
+                        values.len()
                     )));
                 }
-                check_cluster_count(centroids.len() / dim, spec.k)?;
-                Ok(FittedModel::numeric(spec, dim, centroids))
+                check_cluster_count(values.len() / dim, spec.k)?;
+                (None, Some(Means { dim, values }), None)
             }
             "Mixed" => {
                 let schema: Schema = field_of(body, "schema")?;
@@ -1087,11 +1077,32 @@ impl Deserialize for FittedModel {
                 let gamma: f64 = field_of(body, "gamma")?;
                 check_mode_arity(&schema, &prototypes.modes)?;
                 check_cluster_count(prototypes.k(), spec.k)?;
-                Ok(FittedModel::mixed(spec, schema, &prototypes, gamma))
+                let means = Means {
+                    dim: prototypes.dim(),
+                    values: prototypes.means,
+                };
+                (Some((schema, prototypes.modes)), Some(means), Some(gamma))
             }
-            other => Err(SerdeError(format!("unknown centroid family `{other}`"))),
+            other => return Err(SerdeError(format!("unknown centroid family `{other}`"))),
+        };
+        check_banding(&spec.lsh, modes.is_some(), means.is_some())?;
+        Ok(FittedModel::assemble(spec, modes, means, gamma))
+    }
+}
+
+/// A stored spec's banding is input, so both envelope decoders check it
+/// here, before any index (and its `Banding`) is built from it.
+fn check_banding(lsh: &Lsh, has_modes: bool, has_means: bool) -> Result<(), SerdeError> {
+    let (minhash, simhash) = lsh.families();
+    let families = [minhash.filter(|_| has_modes), simhash.filter(|_| has_means)];
+    for &(bands, rows) in families.iter().flatten() {
+        if bands == 0 || rows == 0 {
+            return Err(SerdeError(format!(
+                "spec banding {bands}×{rows} is not positive"
+            )));
         }
     }
+    Ok(())
 }
 
 /// Centroid payloads must carry at least one cluster and exactly as many as

@@ -227,8 +227,41 @@ enum Payload {
     Row(Vec<ValueId>),
     Point(Vec<f64>),
     Mixed(Vec<ValueId>, Vec<f64>),
-    StrRow(Vec<String>),
-    StrMixed(Vec<String>, Vec<f64>),
+    StrRow(PackedRow),
+    StrMixed(PackedRow, Vec<f64>),
+}
+
+/// A string row in one buffer: the cells' text back to back, plus the end
+/// offset of each cell. Packed once where the row enters the server, it
+/// moves unchanged through the queue into the hot-key cache. The offsets
+/// are part of the row's identity: `["ab","c"]` and `["a","bc"]` share
+/// their text but are different rows.
+#[derive(Clone, PartialEq, Eq)]
+struct PackedRow {
+    text: String,
+    ends: Vec<usize>,
+}
+
+impl PackedRow {
+    fn new(cells: &[&str]) -> Self {
+        let mut row = Self {
+            text: String::with_capacity(cells.iter().map(|c| c.len()).sum()),
+            ends: Vec::with_capacity(cells.len()),
+        };
+        for cell in cells {
+            row.text.push_str(cell);
+            row.ends.push(row.text.len());
+        }
+        row
+    }
+
+    fn cells(&self) -> Vec<&str> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts
+            .zip(&self.ends)
+            .map(|(start, &end)| &self.text[start..end])
+            .collect()
+    }
 }
 
 struct Request {
@@ -471,11 +504,18 @@ impl HotKeyCache {
         }
     }
 
+    #[cfg(test)]
     fn insert(&self, generation: u64, payload: &Payload, cluster: ClusterId) {
+        self.store(generation, payload.clone(), cluster);
+    }
+
+    /// Caches `payload`'s answer, taking the payload itself as the stored
+    /// copy.
+    fn store(&self, generation: u64, payload: Payload, cluster: ClusterId) {
         if self.capacity == 0 {
             return;
         }
-        let key = payload_key(payload);
+        let key = payload_key(&payload);
         let mut state = self.state.lock().expect("hot-key lock");
         if !Self::align(&mut state, generation) {
             return; // older snapshot than the cache: never poison it
@@ -486,7 +526,7 @@ impl HotKeyCache {
             // tracking recency.
             state.map.clear();
         }
-        state.map.insert(key, (payload.clone(), cluster));
+        state.map.insert(key, (payload, cluster));
     }
 
     fn stats(&self) -> HotKeyStats {
@@ -510,11 +550,12 @@ fn payload_key(payload: &Payload) -> u64 {
                 self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(PRIME);
             }
         }
-        fn str(&mut self, s: &str) {
-            for &byte in s.as_bytes() {
+        fn row(&mut self, row: &PackedRow) {
+            for &byte in row.text.as_bytes() {
                 self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(PRIME);
             }
-            self.word(s.len() as u64);
+            row.ends.iter().for_each(|&end| self.word(end as u64));
+            self.word(row.ends.len() as u64);
         }
     }
     let mut h = Fnv(OFFSET);
@@ -535,12 +576,11 @@ fn payload_key(payload: &Payload) -> u64 {
         }
         Payload::StrRow(row) => {
             h.word(4);
-            row.iter().for_each(|s| h.str(s));
+            h.row(row);
         }
         Payload::StrMixed(row, point) => {
             h.word(5);
-            row.iter().for_each(|s| h.str(s));
-            h.word(row.len() as u64);
+            h.row(row);
             point.iter().for_each(|x| h.word(x.to_bits()));
         }
     }
@@ -663,6 +703,16 @@ impl ModelServer {
         payload: Payload,
         deadline: Option<Duration>,
     ) -> Result<PredictTicket, ServeError> {
+        self.submit_or_return(payload, deadline).map_err(|(e, _)| e)
+    }
+
+    /// [`Self::submit`] that hands a refused payload back with the error, so
+    /// a caller that retries moves it again instead of copying it.
+    fn submit_or_return(
+        &self,
+        payload: Payload,
+        deadline: Option<Duration>,
+    ) -> Result<PredictTicket, (ServeError, Payload)> {
         let deadline = deadline.map(|d| Instant::now() + d);
         let (reply, rx) = mpsc::channel();
         // Count before the push: a worker can pop and resolve the request
@@ -676,13 +726,13 @@ impl ModelServer {
             reply,
         }) {
             Ok(()) => Ok(PredictTicket { rx }),
-            Err(QueuePushError::Full(_)) => {
+            Err(QueuePushError::Full(request)) => {
                 self.submitted.fetch_sub(1, Ordering::Release);
-                Err(ServeError::QueueFull)
+                Err((ServeError::QueueFull, request.payload))
             }
-            Err(QueuePushError::Closed(_)) => {
+            Err(QueuePushError::Closed(request)) => {
                 self.submitted.fetch_sub(1, Ordering::Release);
-                Err(ServeError::ShutDown)
+                Err((ServeError::ShutDown, request.payload))
             }
         }
     }
@@ -752,10 +802,7 @@ impl ModelServer {
         row: &[&str],
         deadline: Option<Duration>,
     ) -> Result<PredictTicket, ServeError> {
-        self.submit(
-            Payload::StrRow(row.iter().map(|s| (*s).to_owned()).collect()),
-            deadline,
-        )
+        self.submit(Payload::StrRow(PackedRow::new(row)), deadline)
     }
 
     /// Submits one raw string row plus a numeric part (mixed models); like
@@ -778,10 +825,7 @@ impl ModelServer {
         point: Vec<f64>,
         deadline: Option<Duration>,
     ) -> Result<PredictTicket, ServeError> {
-        self.submit(
-            Payload::StrMixed(row.iter().map(|s| (*s).to_owned()).collect(), point),
-            deadline,
-        )
+        self.submit(Payload::StrMixed(PackedRow::new(row), point), deadline)
     }
 
     /// Submit-and-wait convenience for [`Self::submit_row`].
@@ -938,7 +982,7 @@ fn worker_loop(
                 for (request, served) in batch.drain(..).zip(results) {
                     let reply = match served {
                         Served::Scored(Ok(cluster)) => {
-                            cache.insert(generation, &request.payload, cluster);
+                            cache.store(generation, request.payload, cluster);
                             Ok(Prediction {
                                 cluster,
                                 generation,
@@ -996,10 +1040,7 @@ fn serve_one(
     payload: &Payload,
     scratch: &mut IndexScratch,
 ) -> Result<ClusterId, ModelError> {
-    let encode = |row: &[String]| {
-        let refs: Vec<&str> = row.iter().map(String::as_str).collect();
-        model.encode_row(&refs)
-    };
+    let encode = |row: &PackedRow| model.encode_row(&row.cells());
     match payload {
         Payload::Row(row) => model.assign(Some(row), None, scratch),
         Payload::Point(point) => model.assign(None, Some(point), scratch),
@@ -1213,6 +1254,34 @@ mod tests {
             cache.lookup(0, &Payload::Point(vec![3.0])),
             Some(ClusterId(3))
         );
+    }
+
+    #[test]
+    fn packed_rows_with_the_same_text_but_other_cells_never_share_an_entry() {
+        let ab_c = PackedRow::new(&["ab", "c"]);
+        let a_bc = PackedRow::new(&["a", "bc"]);
+        assert_eq!(ab_c.text, a_bc.text);
+        assert_eq!(ab_c.cells(), ["ab", "c"]);
+        assert_eq!(a_bc.cells(), ["a", "bc"]);
+        let payloads = [
+            Payload::StrRow(ab_c.clone()),
+            Payload::StrRow(a_bc.clone()),
+            Payload::StrMixed(ab_c, vec![1.0]),
+            Payload::StrMixed(a_bc, vec![1.0]),
+        ];
+        for (i, a) in payloads.iter().enumerate() {
+            for (j, b) in payloads.iter().enumerate() {
+                assert_eq!(payload_eq(a, b), i == j, "{i} vs {j}");
+                assert_eq!(payload_key(a) == payload_key(b), i == j, "{i} vs {j}");
+            }
+        }
+        let cache = HotKeyCache::new(8);
+        cache.insert(0, &payloads[0], ClusterId(1));
+        assert_eq!(cache.lookup(0, &payloads[1]), None);
+        cache.insert(0, &payloads[1], ClusterId(2));
+        assert_eq!(cache.lookup(0, &payloads[0]), Some(ClusterId(1)));
+        assert_eq!(cache.lookup(0, &payloads[1]), Some(ClusterId(2)));
+        assert_eq!(cache.stats().entries, 2);
     }
 
     #[test]

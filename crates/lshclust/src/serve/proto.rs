@@ -33,7 +33,7 @@
 //! shutdown enabled for stdin, Unix sockets, and loopback TCP, and
 //! requires `--allow-remote-shutdown` for anything else.
 
-use super::{ModelServer, PredictTicket, ServeError, ServerConfig};
+use super::{ModelServer, PackedRow, Payload, PredictTicket, ServeError, ServerConfig};
 use crate::model::FittedModel;
 use serde::Value;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -72,16 +72,17 @@ pub fn err_response(id: Option<&Value>, message: &str) -> String {
     json_line(Value::Object(entries))
 }
 
-fn parse_str_row(v: &Value) -> Result<Vec<String>, String> {
-    v.as_array()
+fn parse_str_row(v: &Value) -> Result<PackedRow, String> {
+    let cells = v
+        .as_array()
         .ok_or("`row` must be an array of strings")?
         .iter()
         .map(|s| {
             s.as_str()
-                .map(str::to_owned)
                 .ok_or_else(|| "`row` must be an array of strings".to_owned())
         })
-        .collect()
+        .collect::<Result<Vec<&str>, _>>()?;
+    Ok(PackedRow::new(&cells))
 }
 
 fn parse_point(v: &Value) -> Result<Vec<f64>, String> {
@@ -157,37 +158,34 @@ pub fn submit_predict(
     predict: &Value,
     deadline: Option<Duration>,
 ) -> Result<PredictTicket, String> {
-    match (predict.get("row"), predict.get("point")) {
-        (Some(row), None) => {
-            let row = parse_str_row(row)?;
-            submit_with_backpressure(|| {
-                let refs: Vec<&str> = row.iter().map(String::as_str).collect();
-                server.submit_str_row_deadline(&refs, deadline)
+    let payload = match (predict.get("row"), predict.get("point")) {
+        (Some(row), None) => Payload::StrRow(parse_str_row(row)?),
+        (None, Some(point)) => Payload::Point(parse_point(point)?),
+        // Serve-time encoding (like the row-only path): the categorical
+        // part is interpreted under the schema of the model snapshot that
+        // answers, so a reload can never mix schemas.
+        (Some(row), Some(point)) => Payload::StrMixed(parse_str_row(row)?, parse_point(point)?),
+        (None, None) => {
+            return Err("predict needs `row` (strings) and/or `point` (numbers)".to_owned())
+        }
+    };
+    // A refused payload comes back and is queued again, never copied.
+    let mut refused = Some(payload);
+    submit_with_backpressure(|| {
+        let payload = refused.take().expect("a refused payload is handed back");
+        server
+            .submit_or_return(payload, deadline)
+            .map_err(|(e, payload)| {
+                refused = Some(payload);
+                e
             })
-        }
-        (None, Some(point)) => {
-            let point = parse_point(point)?;
-            submit_with_backpressure(|| server.submit_point_deadline(point.clone(), deadline))
-        }
-        (Some(row), Some(point)) => {
-            let row = parse_str_row(row)?;
-            let point = parse_point(point)?;
-            // Serve-time encoding (like the row-only path): the categorical
-            // part is interpreted under the schema of the model snapshot
-            // that answers, so a reload can never mix schemas.
-            submit_with_backpressure(|| {
-                let refs: Vec<&str> = row.iter().map(String::as_str).collect();
-                server.submit_str_mixed_deadline(&refs, point.clone(), deadline)
-            })
-        }
-        (None, None) => Err("predict needs `row` (strings) and/or `point` (numbers)".to_owned()),
-    }
+    })
 }
 
-/// One ordered reply slot: either a ticket still being served or an
-/// already-rendered control line. Writer loops render these FIFO so
-/// responses leave in request order even though workers finish out of
-/// order.
+/// One ordered reply slot: a ticket still being served, a `{"stats"}`
+/// reply still to be rendered, or an already-rendered control line. Writer
+/// loops render these FIFO so responses leave in request order even though
+/// workers finish out of order.
 pub enum Outgoing {
     /// A pending prediction; render with [`render_reply`].
     Ticket {
@@ -196,6 +194,14 @@ pub enum Outgoing {
         /// The waitable half of the submitted request.
         ticket: PredictTicket,
     },
+    /// A `{"stats": true}` reply. It is rendered when the writer reaches
+    /// it, so its counters include every reply written before it.
+    Stats {
+        /// The request's `id`, echoed into the response.
+        id: Option<Value>,
+        /// The server whose counters the reply reports.
+        server: Arc<ModelServer>,
+    },
     /// A response that is already a complete line.
     Line(String),
 }
@@ -203,8 +209,8 @@ pub enum Outgoing {
 /// Resolves one [`Outgoing`] into its response line. Ticket waits are
 /// bounded by `wait_cap` ([`PredictTicket::wait_deadline`]) so a wedged
 /// worker pool turns into an error response instead of a writer blocked
-/// forever — the satellite fix this PR ships. Deadline-skipped requests
-/// render as `err` lines like any other serve failure.
+/// forever. Deadline-skipped requests render as `err` lines like any other
+/// serve failure.
 pub fn render_reply(out: Outgoing, wait_cap: Duration) -> String {
     match out {
         Outgoing::Ticket { id, ticket } => match ticket.wait_deadline(wait_cap) {
@@ -224,6 +230,7 @@ pub fn render_reply(out: Outgoing, wait_cap: Duration) -> String {
                 ),
             ),
         },
+        Outgoing::Stats { id, server } => ok_response(id.as_ref(), stats_fields(&server)),
         Outgoing::Line(line) => line,
     }
 }
@@ -314,7 +321,7 @@ impl ProtoEngine {
         (prev < milestone).then(|| {
             json_line(Value::Object(vec![(
                 "stats".to_owned(),
-                Value::Object(self.stats_fields()),
+                Value::Object(stats_fields(&self.server)),
             )]))
         })
     }
@@ -352,7 +359,10 @@ impl ProtoEngine {
         } else if let Some(reload) = value.get("reload") {
             LineOutcome::Reply(Outgoing::Line(self.handle_reload(id.as_ref(), reload)))
         } else if value.get("stats").is_some() {
-            LineOutcome::Reply(Outgoing::Line(self.render_stats(id.as_ref())))
+            LineOutcome::Reply(Outgoing::Stats {
+                id,
+                server: Arc::clone(&self.server),
+            })
         } else if value.get("shutdown").is_some() {
             if self.allow_shutdown {
                 LineOutcome::Shutdown(Outgoing::Line(ok_response(
@@ -404,59 +414,54 @@ impl ProtoEngine {
             None => err_response(id, "reload takes a model artifact path string"),
         }
     }
+}
 
-    fn render_stats(&self, id: Option<&Value>) -> String {
-        ok_response(id, self.stats_fields())
-    }
-
-    /// The introspection payload shared by `{"stats": true}` responses and
-    /// the periodic push.
-    fn stats_fields(&self) -> Vec<(String, Value)> {
-        let server = &self.server;
-        let model = server.model();
-        let cache = server.hot_key_stats();
-        let tickets = server.ticket_stats();
-        vec![
-            (
-                "generation".to_owned(),
-                serde_json::to_value(&server.generation()),
-            ),
-            (
-                "queue".to_owned(),
-                serde_json::to_value(&server.queue_len()),
-            ),
-            (
-                "modality".to_owned(),
-                Value::String(model.modality().to_owned()),
-            ),
-            ("k".to_owned(), serde_json::to_value(&model.k())),
-            (
-                "workers".to_owned(),
-                serde_json::to_value(&server.config().workers),
-            ),
-            (
-                "max_batch".to_owned(),
-                serde_json::to_value(&server.config().max_batch),
-            ),
-            ("cache_hits".to_owned(), serde_json::to_value(&cache.hits)),
-            (
-                "cache_misses".to_owned(),
-                serde_json::to_value(&cache.misses),
-            ),
-            (
-                "cache_entries".to_owned(),
-                serde_json::to_value(&cache.entries),
-            ),
-            (
-                "submitted".to_owned(),
-                serde_json::to_value(&tickets.submitted),
-            ),
-            (
-                "resolved".to_owned(),
-                serde_json::to_value(&tickets.resolved),
-            ),
-        ]
-    }
+/// The introspection payload shared by `{"stats": true}` responses and the
+/// periodic push.
+fn stats_fields(server: &ModelServer) -> Vec<(String, Value)> {
+    let model = server.model();
+    let cache = server.hot_key_stats();
+    let tickets = server.ticket_stats();
+    vec![
+        (
+            "generation".to_owned(),
+            serde_json::to_value(&server.generation()),
+        ),
+        (
+            "queue".to_owned(),
+            serde_json::to_value(&server.queue_len()),
+        ),
+        (
+            "modality".to_owned(),
+            Value::String(model.modality().to_owned()),
+        ),
+        ("k".to_owned(), serde_json::to_value(&model.k())),
+        (
+            "workers".to_owned(),
+            serde_json::to_value(&server.config().workers),
+        ),
+        (
+            "max_batch".to_owned(),
+            serde_json::to_value(&server.config().max_batch),
+        ),
+        ("cache_hits".to_owned(), serde_json::to_value(&cache.hits)),
+        (
+            "cache_misses".to_owned(),
+            serde_json::to_value(&cache.misses),
+        ),
+        (
+            "cache_entries".to_owned(),
+            serde_json::to_value(&cache.entries),
+        ),
+        (
+            "submitted".to_owned(),
+            serde_json::to_value(&tickets.submitted),
+        ),
+        (
+            "resolved".to_owned(),
+            serde_json::to_value(&tickets.resolved),
+        ),
+    ]
 }
 
 #[cfg(test)]

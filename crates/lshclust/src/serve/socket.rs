@@ -140,11 +140,15 @@ impl Stream {
         };
     }
 
-    fn set_timeouts(&self, read: Option<Duration>, write: Option<Duration>) {
+    /// Sets the timeouts and, on TCP, `TCP_NODELAY`: with Nagle's
+    /// algorithm on, a reply written while the previous one is unacknowledged
+    /// waits for the client's delayed ACK, about 40 ms.
+    fn configure(&self, read: Option<Duration>, write: Option<Duration>) {
         let _ = match self {
             Stream::Tcp(s) => s
                 .set_read_timeout(read)
-                .and_then(|()| s.set_write_timeout(write)),
+                .and_then(|()| s.set_write_timeout(write))
+                .and_then(|()| s.set_nodelay(true)),
             #[cfg(unix)]
             Stream::Unix(s) => s
                 .set_read_timeout(read)
@@ -459,7 +463,7 @@ fn reap_finished(shared: &Shared) {
 /// spawned by the accept loop; on exit it removes its registry entry so
 /// the dup'ed read-half fd closes with the connection, not at shutdown.
 fn serve_connection(id: u64, stream: Stream, shared: &Arc<Shared>) {
-    stream.set_timeouts(
+    stream.configure(
         Some(Duration::from_millis(100)),
         shared.options.write_timeout,
     );
@@ -483,10 +487,11 @@ fn serve_connection(id: u64, stream: Stream, shared: &Arc<Shared>) {
     shared.conns.lock().expect("conn registry").remove(&id);
 }
 
-/// The writer half: renders replies FIFO and writes them. A write failure
-/// (client gone, or its send buffer full past the write timeout) tears the
-/// connection down and discards the remaining replies — their tickets
-/// still resolve server-side, so nothing leaks.
+/// The writer half: renders replies FIFO and writes each line with its
+/// newline in one write. A write failure (client gone, or its send buffer
+/// full past the write timeout) tears the connection down and discards the
+/// remaining replies — their tickets still resolve server-side, so nothing
+/// leaks.
 fn writer_loop(
     mut stream: Stream,
     rx: mpsc::Receiver<Outgoing>,
@@ -494,13 +499,9 @@ fn writer_loop(
     teardown: Option<Stream>,
 ) {
     for out in rx.iter() {
-        let line = render_reply(out, wait_cap);
-        if stream
-            .write_all(line.as_bytes())
-            .and_then(|()| stream.write_all(b"\n"))
-            .and_then(|()| stream.flush())
-            .is_err()
-        {
+        let mut line = render_reply(out, wait_cap);
+        line.push('\n');
+        if stream.write_all(line.as_bytes()).is_err() {
             if let Some(conn) = &teardown {
                 conn.shutdown(Shutdown::Both);
             }

@@ -259,52 +259,51 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut s = String::new();
         loop {
-            match self.peek() {
-                None => return Err(Error("unterminated string".into())),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(s);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => s.push('"'),
-                        Some(b'\\') => s.push('\\'),
-                        Some(b'/') => s.push('/'),
-                        Some(b'n') => s.push('\n'),
-                        Some(b'r') => s.push('\r'),
-                        Some(b't') => s.push('\t'),
-                        Some(b'b') => s.push('\u{08}'),
-                        Some(b'f') => s.push('\u{0c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| Error("truncated \\u escape".into()))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| Error("invalid \\u escape".into()))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| Error("invalid \\u escape".into()))?;
-                            s.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| Error("invalid \\u code point".into()))?,
-                            );
-                            self.pos += 4;
-                        }
-                        _ => return Err(Error("invalid escape".into())),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest)
-                        .map_err(|_| Error("invalid UTF-8 in string".into()))?;
-                    let c = text.chars().next().expect("non-empty by peek");
-                    s.push(c);
-                    self.pos += c.len_utf8();
-                }
+            // Copy the run up to the next quote or backslash as one slice.
+            // Both are ASCII, so a run of valid input is valid UTF-8 on its
+            // own and each byte is checked once.
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or_else(|| Error("unterminated string".into()))?;
+            s.push_str(
+                std::str::from_utf8(&rest[..run])
+                    .map_err(|_| Error("invalid UTF-8 in string".into()))?,
+            );
+            if rest[run] == b'"' {
+                self.pos += run + 1;
+                return Ok(s);
             }
+            // A backslash: one escape.
+            self.pos += run + 1;
+            match self.peek() {
+                Some(b'"') => s.push('"'),
+                Some(b'\\') => s.push('\\'),
+                Some(b'/') => s.push('/'),
+                Some(b'n') => s.push('\n'),
+                Some(b'r') => s.push('\r'),
+                Some(b't') => s.push('\t'),
+                Some(b'b') => s.push('\u{08}'),
+                Some(b'f') => s.push('\u{0c}'),
+                Some(b'u') => {
+                    let hex = self
+                        .bytes
+                        .get(self.pos + 1..self.pos + 5)
+                        .ok_or_else(|| Error("truncated \\u escape".into()))?;
+                    let hex =
+                        std::str::from_utf8(hex).map_err(|_| Error("invalid \\u escape".into()))?;
+                    let code = u32::from_str_radix(hex, 16)
+                        .map_err(|_| Error("invalid \\u escape".into()))?;
+                    s.push(
+                        char::from_u32(code)
+                            .ok_or_else(|| Error("invalid \\u code point".into()))?,
+                    );
+                    self.pos += 4;
+                }
+                _ => return Err(Error("invalid escape".into())),
+            }
+            self.pos += 1;
         }
     }
 
@@ -432,5 +431,84 @@ mod tests {
     #[test]
     fn trailing_garbage_rejected() {
         assert!(from_str::<bool>("true x").is_err());
+    }
+
+    fn parse_str(text: &str) -> Result<String, Error> {
+        parse(text).map(|v| v.as_str().expect("a string value").to_owned())
+    }
+
+    #[test]
+    fn every_escape_parses() {
+        for (text, want) in [
+            (r#""\"""#, "\""),
+            (r#""\\""#, "\\"),
+            (r#""\/""#, "/"),
+            (r#""\b""#, "\u{08}"),
+            (r#""\f""#, "\u{0c}"),
+            (r#""\n""#, "\n"),
+            (r#""\r""#, "\r"),
+            (r#""\t""#, "\t"),
+            (r#""\u00e9""#, "é"),
+            (r#""\u00E9A""#, "éA"),
+            (r#""a\tb\\c\"d""#, "a\tb\\c\"d"),
+            (r#""""#, ""),
+        ] {
+            assert_eq!(parse_str(text).unwrap(), want, "{text}");
+        }
+    }
+
+    #[test]
+    fn multibyte_characters_next_to_quotes_and_escapes_survive() {
+        // 2-, 3- and 4-byte UTF-8 at the start, the end and on either side
+        // of an escape.
+        for want in [
+            "é",
+            "€",
+            "😀",
+            "é€😀",
+            "😀\n€",
+            "\"é\"",
+            "€\\",
+            "\t😀",
+            "aé\"€\\😀b",
+        ] {
+            let text = to_string(&want.to_owned()).unwrap();
+            assert_eq!(parse_str(&text).unwrap(), want, "{text}");
+        }
+        assert_eq!(parse_str(r#""\u00e9é😀""#).unwrap(), "éé😀");
+    }
+
+    #[test]
+    fn malformed_strings_are_errors() {
+        for text in [
+            r#""abc"#,
+            r#""abc\"#,
+            r#""\u00"#,
+            r#""\u00e"#,
+            r#""\ud83d""#,
+            r#""\x""#,
+            r#""\u12g4""#,
+        ] {
+            assert!(parse(text).is_err(), "{text}");
+        }
+    }
+
+    #[test]
+    fn long_string_arrays_parse_in_linear_time() {
+        // 65,536 strings of 60 characters (about 4 MB): the old parser
+        // re-checked the rest of the input for every character.
+        let cell = "é".repeat(10) + &"x".repeat(38) + "\\n\\\"";
+        let text = format!("[{}]", vec![format!("\"{cell}\""); 1 << 16].join(","));
+        assert!(text.len() > 4_000_000, "{}", text.len());
+        let started = std::time::Instant::now();
+        let v = parse(&text).unwrap();
+        let took = started.elapsed();
+        let items = v.as_array().unwrap();
+        assert_eq!(items.len(), 1 << 16);
+        assert_eq!(
+            items[7].as_str().unwrap(),
+            "é".repeat(10) + &"x".repeat(38) + "\n\""
+        );
+        assert!(took < std::time::Duration::from_secs(2), "{took:?}");
     }
 }

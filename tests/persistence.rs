@@ -323,6 +323,31 @@ fn oversized_section_lengths_are_rejected_before_allocation() {
     }
 }
 
+/// Loads the committed v1 fixture `name` with `from` replaced by `to`, and
+/// asserts the load is a typed error that names the banding, not a panic.
+fn assert_banding_rejected(name: &str, from: &str, to: &str) {
+    let text = std::fs::read_to_string(fixture_path(name)).unwrap();
+    assert_eq!(text.matches(from).count(), 1, "{name}: `{from}`");
+    let edited = text.replace(from, to);
+    match std::panic::catch_unwind(|| FittedModel::from_bytes(edited.as_bytes())) {
+        Ok(Err(e)) => assert!(e.to_string().contains("not positive"), "{name}: {e}"),
+        Ok(Ok(_)) => panic!("{name} with `{to}` loaded"),
+        Err(_) => panic!("{name} with `{to}` panicked"),
+    }
+}
+
+#[test]
+fn v1_categorical_envelope_with_zero_bands_or_rows_is_a_typed_error() {
+    assert_banding_rejected("categorical", r#""bands": 16"#, r#""bands": 0"#);
+    assert_banding_rejected("categorical", r#""rows": 2"#, r#""rows": 0"#);
+}
+
+#[test]
+fn v1_numeric_envelope_with_zero_simhash_bands_is_a_typed_error() {
+    assert_banding_rejected("numeric", r#""bands": 10"#, r#""bands": 0"#);
+    assert_banding_rejected("mixed", r#""sim_bands": 10"#, r#""sim_bands": 0"#);
+}
+
 // ---------------------------------------------------------------------------
 // ArtifactStore: hit on identical refits, refit on corruption, GC, verify.
 // ---------------------------------------------------------------------------

@@ -875,3 +875,52 @@ fn wire_requests_with_overflowing_coordinates_get_err_lines() {
         assert_eq!(server.hot_key_stats().entries, 0, "{file}");
     }
 }
+
+/// `{"stats"}` is answered in reply order: written behind N predicts in one
+/// write, its reply counts all N as submitted and resolved.
+#[test]
+fn stats_reply_counts_every_reply_written_before_it() {
+    use lshclust::serve::proto::ProtoEngine;
+    use lshclust::serve::socket::{SocketOptions, SocketServer};
+    use std::io::{BufRead, BufReader, Write};
+
+    let num = num_fixture();
+    let n = num.data.n_items();
+    let server = std::sync::Arc::new(ModelServer::start(num.model.clone(), coalescing_config()));
+    let socket = SocketServer::bind_tcp(
+        "127.0.0.1:0",
+        ProtoEngine::new(server, None),
+        SocketOptions::default(),
+    )
+    .unwrap();
+    let mut stream = std::net::TcpStream::connect(socket.local_addr().unwrap()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    let mut lines = String::new();
+    for i in 0..n {
+        let point = serde_json::to_string(&num.data.row(i).to_vec()).unwrap();
+        lines += &format!("{{\"predict\":{{\"point\":{point}}},\"id\":{i}}}\n");
+    }
+    lines += "{\"stats\":true}\n";
+    stream.write_all(lines.as_bytes()).unwrap();
+
+    let mut reader = BufReader::new(stream);
+    let mut read_reply = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        (serde_json::parse(line.trim()).unwrap(), line)
+    };
+    for i in 0..n {
+        let (reply, line) = read_reply();
+        assert_eq!(reply.get("id").and_then(|v| v.as_u64()), Some(i as u64));
+        let cluster = reply.get("ok").and_then(|ok| ok.get("cluster")?.as_u64());
+        assert_eq!(cluster, Some(u64::from(num.expected[i].0)), "{line}");
+    }
+    let (stats, line) = read_reply();
+    let field = |name: &str| stats.get("ok").and_then(|ok| ok.get(name)?.as_u64());
+    assert_eq!(field("submitted"), Some(n as u64), "{line}");
+    assert_eq!(field("resolved"), Some(n as u64), "{line}");
+    drop(reader);
+    socket.shutdown();
+}

@@ -316,6 +316,32 @@ fn slow_reader_does_not_stall_healthy_clients() {
     );
 }
 
+/// Each reply leaves in one write on a `TCP_NODELAY` stream, so a client
+/// that also writes each request in one write with Nagle off gets every
+/// answer without waiting on a delayed ACK. A reply and its newline sent as
+/// two writes cost about 40 ms per round trip, 8 s for these 200.
+#[test]
+fn sequential_round_trips_do_not_wait_on_delayed_acks() {
+    let fix = fixture();
+    let (socket, addr) = start_server(ServerConfig::default(), SocketOptions::default());
+    let mut client = Client::connect(addr);
+    client.stream.set_nodelay(true).unwrap();
+    let started = std::time::Instant::now();
+    for id in 0..200u64 {
+        let i = id as usize % fix.rows.len();
+        let line = predict_line(fix, i, id) + "\n";
+        client.stream.write_all(line.as_bytes()).expect("send line");
+        client.expect_cluster(fix, i, id);
+    }
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(2),
+        "200 round trips took {took:?}"
+    );
+    let report = socket.shutdown();
+    assert_eq!(report.tickets.submitted, report.tickets.resolved);
+}
+
 #[test]
 fn client_requested_shutdown_unblocks_wait_and_drains() {
     let fix = fixture();
