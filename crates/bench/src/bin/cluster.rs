@@ -1275,10 +1275,14 @@ fn run_serve(args: ServeArgs) -> Result<(), String> {
             lshclust::SocketServer::bind_tcp(listen, engine, options)
         }
         .map_err(|e| format!("{listen}: {e}"))?;
-        match socket.local_addr() {
-            Some(addr) => eprintln!("serve: listening on {addr}"),
-            None => eprintln!("serve: listening on {listen}"),
-        }
+        // One write: stderr is unbuffered, so `eprintln!` would emit the
+        // address in pieces, and a client polling the log for this line
+        // could read it without its port.
+        let listening = match socket.local_addr() {
+            Some(addr) => format!("serve: listening on {addr}\n"),
+            None => format!("serve: listening on {listen}\n"),
+        };
+        let _ = std::io::stderr().write_all(listening.as_bytes());
         let report = socket.wait();
         if let Ok(server) = std::sync::Arc::try_unwrap(server) {
             server.shutdown();
