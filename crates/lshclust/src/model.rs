@@ -1061,15 +1061,19 @@ impl Deserialize for FittedModel {
             }
             "Numeric" => {
                 let dim: usize = field_of(body, "dim")?;
-                let values: Vec<f64> = field_of(body, "centroids")?;
-                if dim == 0 || !values.len().is_multiple_of(dim) {
+                let centroids: Vec<f64> = field_of(body, "centroids")?;
+                if dim == 0 || !centroids.len().is_multiple_of(dim) {
                     return Err(SerdeError(format!(
                         "centroid buffer of {} values is not k×dim with dim {dim}",
-                        values.len()
+                        centroids.len()
                     )));
                 }
-                check_cluster_count(values.len() / dim, spec.k)?;
-                (None, Some(Means { dim, values }), None)
+                check_cluster_count(centroids.len() / dim, spec.k)?;
+                let means = Means {
+                    dim,
+                    values: centroids,
+                };
+                (None, Some(means), None)
             }
             "Mixed" => {
                 let schema: Schema = field_of(body, "schema")?;
