@@ -933,11 +933,13 @@ fn run_predict(args: PredictArgs) -> Result<(), String> {
     // NOT_PRESENT and match no centroid value) translates every cell with a
     // single index — no per-row string round-trips. The translated batch
     // then goes through the batched predict path: one scratch per thread,
-    // fanned over the model's configured thread count.
-    let schema = model
-        .schema()
-        .ok_or_else(|| format!("{} models cannot serve CSV rows", model.modality()))?
-        .clone();
+    // fanned over the model's configured thread count. The batch holds the
+    // model's own schema, so its encoding check is a pointer comparison.
+    let schema = std::sync::Arc::clone(
+        model
+            .shared_schema()
+            .ok_or_else(|| format!("{} models cannot serve CSV rows", model.modality()))?,
+    );
     if schema.n_attrs() != dataset.n_attrs() {
         return Err(format!(
             "{} has {} attributes, model expects {}",
@@ -1315,9 +1317,10 @@ fn run_serve(args: ServeArgs) -> Result<(), String> {
             LineOutcome::Reply(out) => {
                 let _ = tx.send(out);
                 // Periodic stats push (`--stats-every`): ordered through the
-                // same printer so it lands between responses.
+                // same printer so it lands between responses, rendered when
+                // the printer reaches it.
                 if let Some(stats) = engine.take_due_stats() {
-                    let _ = tx.send(lshclust::serve::proto::Outgoing::Line(stats));
+                    let _ = tx.send(stats);
                 }
             }
             LineOutcome::Shutdown(out) => {

@@ -3,10 +3,12 @@
 //! A [`Dataset`] is an `n_items × n_attrs` row-major matrix of [`ValueId`]s
 //! plus a [`Schema`] and an optional ground-truth label per item. Rows are
 //! exposed as `&[ValueId]` slices so the assignment loops index a flat buffer
-//! (the perf guide's "slice before the loop" advice).
+//! (the perf guide's "slice before the loop" advice). The schema is shared:
+//! cloning a dataset, or fitting a model on it, copies a pointer to it.
 
 use crate::dictionary::Schema;
 use crate::types::{AttrId, ItemId, ValueId};
+use std::sync::Arc;
 
 /// Error raised by [`DatasetBuilder`] when a row has the wrong arity.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,7 +34,7 @@ impl std::error::Error for ArityError {}
 /// A dense, immutable categorical dataset.
 #[derive(Clone, Debug)]
 pub struct Dataset {
-    schema: Schema,
+    schema: Arc<Schema>,
     n_items: usize,
     n_attrs: usize,
     /// Row-major `n_items * n_attrs` value matrix.
@@ -43,9 +45,15 @@ pub struct Dataset {
 }
 
 impl Dataset {
-    /// Assembles a dataset from parts. Panics if `values.len()` is not
+    /// Assembles a dataset from parts; `schema` is a [`Schema`] or one
+    /// already shared (`Arc<Schema>`). Panics if `values.len()` is not
     /// `n_items * schema.n_attrs()` or labels have the wrong length.
-    pub fn from_parts(schema: Schema, values: Vec<ValueId>, labels: Option<Vec<u32>>) -> Self {
+    pub fn from_parts(
+        schema: impl Into<Arc<Schema>>,
+        values: Vec<ValueId>,
+        labels: Option<Vec<u32>>,
+    ) -> Self {
+        let schema = schema.into();
         let n_attrs = schema.n_attrs();
         assert!(n_attrs > 0, "dataset must have at least one attribute");
         assert_eq!(
@@ -82,6 +90,12 @@ impl Dataset {
 
     /// The schema (attribute names and dictionaries).
     pub fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    /// The schema as the shared allocation, for a model or another dataset
+    /// over the same encoding to hold without copying it.
+    pub fn shared_schema(&self) -> &Arc<Schema> {
         &self.schema
     }
 

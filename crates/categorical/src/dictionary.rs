@@ -7,18 +7,37 @@
 
 use crate::types::{AttrId, ValueId, NOT_PRESENT};
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 
 /// Interner for one attribute's category values.
 ///
 /// Values are assigned dense ids in first-seen order, so a dictionary built
 /// from the same value stream is always identical — important for the
 /// workspace-wide determinism policy (DESIGN.md §7).
+///
+/// Each value is stored once. The texts of all values lie back to back in
+/// one arena, in id order, with one end offset per value; an
+/// open-addressing table maps a hash of a value's text to its id. Ids come
+/// from the order of first sight and never from the hash. The hash is the
+/// standard library's randomly keyed one, because values come from input
+/// files and requests, and fixed keys would let crafted values collide.
 #[derive(Clone, Debug, Default)]
 pub struct Dictionary {
-    by_name: HashMap<String, ValueId>,
-    names: Vec<String>,
+    /// Every value's text, in id order.
+    text: String,
+    /// Where each value's text ends in `text`; value `i` starts where value
+    /// `i - 1` ends.
+    ends: Vec<u32>,
+    /// Linear-probing table of `id + 1`, `0` marking an empty slot. Its
+    /// length is zero or a power of two, and at most half of it is full.
+    slots: Vec<u32>,
+    /// The keys of the table's hash.
+    hasher: RandomState,
 }
+
+/// Smallest table a dictionary allocates.
+const MIN_SLOTS: usize = 16;
 
 impl Dictionary {
     /// Creates an empty dictionary.
@@ -28,45 +47,104 @@ impl Dictionary {
 
     /// Interns `name`, returning its existing or freshly assigned id.
     pub fn intern(&mut self, name: &str) -> ValueId {
-        if let Some(&id) = self.by_name.get(name) {
-            return id;
+        let slot = match self.find(name) {
+            Ok(id) => return id,
+            Err(slot) => slot,
+        };
+        // `u32::MAX` is `NOT_PRESENT`, never a dictionary code.
+        let id = u32::try_from(self.ends.len())
+            .ok()
+            .filter(|&id| id < u32::MAX)
+            .expect("dictionary overflows u32");
+        self.text.push_str(name);
+        let end = u32::try_from(self.text.len()).expect("dictionary text overflows u32");
+        self.ends.push(end);
+        if self.ends.len() * 2 > self.slots.len() {
+            self.rehash((self.slots.len() * 2).max(MIN_SLOTS));
+        } else {
+            self.slots[slot] = id + 1;
         }
-        let id = ValueId(u32::try_from(self.names.len()).expect("dictionary overflows u32"));
-        self.by_name.insert(name.to_owned(), id);
-        self.names.push(name.to_owned());
-        id
+        ValueId(id)
     }
 
     /// Looks up a value id without interning.
     pub fn get(&self, name: &str) -> Option<ValueId> {
-        self.by_name.get(name).copied()
+        self.find(name).ok()
     }
 
     /// Returns the string for `id`, or `None` for out-of-range or
     /// [`NOT_PRESENT`] ids.
     pub fn name(&self, id: ValueId) -> Option<&str> {
-        if id == NOT_PRESENT {
-            return None;
-        }
-        self.names.get(id.idx()).map(String::as_str)
+        (id.idx() < self.len()).then(|| self.text_of(id.idx()))
     }
 
     /// Number of distinct interned values.
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.ends.len()
     }
 
     /// Whether no value has been interned yet.
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.ends.is_empty()
     }
 
     /// Iterates `(id, name)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (ValueId, &str)> {
-        self.names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (ValueId(i as u32), n.as_str()))
+        (0..self.len()).map(|i| (ValueId(i as u32), self.text_of(i)))
+    }
+
+    /// The text of value `i < len`.
+    #[inline]
+    fn text_of(&self, i: usize) -> &str {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.text[start..self.ends[i] as usize]
+    }
+
+    /// The id of `name` (`Ok`), or the empty slot where probing for it
+    /// ended (`Err`; meaningless while the table is empty).
+    fn find(&self, name: &str) -> Result<ValueId, usize> {
+        if self.slots.is_empty() {
+            return Err(0);
+        }
+        let mask = self.slots.len() - 1;
+        let mut slot = self.hasher.hash_one(name) as usize & mask;
+        loop {
+            match self.slots[slot] {
+                0 => return Err(slot),
+                stored if self.text_of(stored as usize - 1) == name => {
+                    return Ok(ValueId(stored - 1))
+                }
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Rebuilds the table with `n_slots` slots (a power of two, more than
+    /// twice the number of values).
+    fn rehash(&mut self, n_slots: usize) {
+        let mut slots = vec![0u32; n_slots];
+        let mask = n_slots - 1;
+        for i in 0..self.len() {
+            let mut slot = self.hasher.hash_one(self.text_of(i)) as usize & mask;
+            while slots[slot] != 0 {
+                slot = (slot + 1) & mask;
+            }
+            slots[slot] = i as u32 + 1;
+        }
+        self.slots = slots;
+    }
+
+    /// Makes room for `values` more values holding `bytes` more bytes of
+    /// text, so interning them neither reallocates nor rehashes.
+    fn reserve(&mut self, values: usize, bytes: usize) {
+        self.text.reserve(bytes);
+        self.ends.reserve(values);
+        let n_slots = ((self.len() + values) * 2 + 1)
+            .next_power_of_two()
+            .max(MIN_SLOTS);
+        if n_slots > self.slots.len() {
+            self.rehash(n_slots);
+        }
     }
 }
 
@@ -198,6 +276,8 @@ impl Deserialize for Schema {
                 .get("values")
                 .and_then(Value::as_array)
                 .ok_or_else(|| SerdeError::expected("attribute `values` array", "Schema"))?;
+            let bytes = values.iter().filter_map(Value::as_str).map(str::len).sum();
+            schema.dictionary_mut(attr).reserve(values.len(), bytes);
             for (i, value) in values.iter().enumerate() {
                 let name = value
                     .as_str()
@@ -351,6 +431,117 @@ mod tests {
             }
         }
         assert!(Schema::from_value(&v).is_err());
+    }
+
+    /// A value for stream code `n`: the empty string, `v{n}` and its
+    /// `v{n}0` prefix partner, multi-byte UTF-8, NUL-padded and
+    /// longer-than-a-word texts.
+    fn value_text(n: u32) -> String {
+        match n % 7 {
+            0 => String::new(),
+            1 => format!("v{}", n / 7),
+            2 => format!("v{}0", n / 7),
+            3 => format!("é{}ß日本", n / 7),
+            4 => format!("🦀{}", n / 7),
+            5 => format!("v{}\0", n / 7),
+            _ => format!("a-value-longer-than-one-word-{:>9}", n / 7),
+        }
+    }
+
+    /// The interner this module replaced: a map plus a name list.
+    #[derive(Default)]
+    struct Reference {
+        by_name: std::collections::HashMap<String, ValueId>,
+        names: Vec<String>,
+    }
+
+    impl Reference {
+        fn intern(&mut self, name: &str) -> ValueId {
+            if let Some(&id) = self.by_name.get(name) {
+                return id;
+            }
+            let id = ValueId(self.names.len() as u32);
+            self.by_name.insert(name.to_owned(), id);
+            self.names.push(name.to_owned());
+            id
+        }
+
+        fn schema_json(attrs: &[&Reference]) -> String {
+            let attrs = attrs
+                .iter()
+                .enumerate()
+                .map(|(a, r)| {
+                    let values = r.names.iter().map(|n| Value::String(n.clone())).collect();
+                    Value::Object(vec![
+                        ("name".to_owned(), Value::String(format!("a{a}"))),
+                        ("values".to_owned(), Value::Array(values)),
+                        ("absent".to_owned(), Value::Null),
+                    ])
+                })
+                .collect();
+            let tree = Value::Object(vec![("attrs".to_owned(), Value::Array(attrs))]);
+            serde_json::to_string(&Tree(tree)).unwrap()
+        }
+    }
+
+    /// Serializes as the value tree it holds.
+    struct Tree(Value);
+
+    impl Serialize for Tree {
+        fn to_value(&self) -> Value {
+            self.0.clone()
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Up to 600 draws from 420 codes: repeats, and up to ~420
+        /// distinct values, which grows the table from 16 to 1,024 slots.
+        #[test]
+        fn interned_dictionary_matches_a_map_and_list(
+            first in prop::collection::vec(0u32..420, 0..600usize),
+            second in prop::collection::vec(0u32..60, 0..80usize),
+        ) {
+            let mut schema = Schema::anonymous(2);
+            let mut refs = [Reference::default(), Reference::default()];
+            for (a, stream) in [&first, &second].into_iter().enumerate() {
+                for &n in stream {
+                    let text = value_text(n);
+                    let got = schema.dictionary_mut(AttrId(a as u32)).intern(&text);
+                    prop_assert_eq!(got, refs[a].intern(&text));
+                }
+            }
+            for (a, r) in refs.iter().enumerate() {
+                let d = schema.dictionary(AttrId(a as u32));
+                prop_assert_eq!(d.len(), r.names.len());
+                prop_assert_eq!(d.is_empty(), r.names.is_empty());
+                let listed: Vec<(ValueId, &str)> = d.iter().collect();
+                let expected: Vec<(ValueId, &str)> = r
+                    .names
+                    .iter()
+                    .enumerate()
+                    .map(|(i, n)| (ValueId(i as u32), n.as_str()))
+                    .collect();
+                prop_assert_eq!(listed, expected);
+                for (i, n) in r.names.iter().enumerate() {
+                    prop_assert_eq!(d.name(ValueId(i as u32)), Some(n.as_str()));
+                }
+                prop_assert_eq!(d.name(ValueId(r.names.len() as u32)), None);
+                prop_assert_eq!(d.name(NOT_PRESENT), None);
+                // Every code, interned or not, looks up alike.
+                for n in 0..430 {
+                    let text = value_text(n);
+                    prop_assert_eq!(d.get(&text), r.by_name.get(&text).copied());
+                }
+            }
+            let json = serde_json::to_string(&schema).unwrap();
+            prop_assert_eq!(&json, &Reference::schema_json(&[&refs[0], &refs[1]]));
+            let back: Schema = serde_json::from_str(&json).unwrap();
+            prop_assert_eq!(serde_json::to_string(&back).unwrap(), json);
+        }
     }
 
     #[test]

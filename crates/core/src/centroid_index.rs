@@ -209,10 +209,11 @@ impl CentroidIndex {
         (a + b, concat_band_keys(self.k, a, minhash, b, simhash))
     }
 
-    /// One query scratch (one per thread when queries fan out).
+    /// One query scratch (one per thread when queries fan out). It serves
+    /// any index over at most as many centroids as this one, so a caller
+    /// may keep one scratch across indexes.
     pub fn scratch(&self) -> IndexScratch {
-        let k = if self.minhash.is_some() { self.k } else { 0 };
-        IndexScratch::sized(k)
+        IndexScratch::sized(self.k)
     }
 
     /// Writes the candidate clusters of a query into `scratch` and returns

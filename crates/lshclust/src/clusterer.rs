@@ -38,6 +38,7 @@ use lshclust_kmodes::modes::Modes;
 use lshclust_kmodes::stats::{IterationStats, RunSummary};
 use lshclust_kmodes::{KModes, KModesConfig, UpdateRule};
 use lshclust_minhash::Banding;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Runs a [`ClusterSpec`] against any supported input modality.
@@ -353,8 +354,11 @@ impl Input for &Dataset {
             let result = run_sharded(spec, worker_cmd, |transport| {
                 shard_mh_kmodes_from(self, &config, modes, setup_start, transport)
             })?;
-            let model =
-                FittedModel::categorical(spec.clone(), self.schema().clone(), result.modes.clone());
+            let model = FittedModel::categorical(
+                spec.clone(),
+                Arc::clone(self.shared_schema()),
+                result.modes.clone(),
+            );
             return Ok(ClusterRun {
                 assignments: result.assignments,
                 centroids: Centroids::Modes(result.modes),
@@ -387,8 +391,11 @@ impl Input for &Dataset {
                 ),
                 None => minibatch_mh_kmodes(self, spec.k, init, spec.seed, lsh, &params, threads),
             };
-            let model =
-                FittedModel::categorical(spec.clone(), self.schema().clone(), result.modes.clone());
+            let model = FittedModel::categorical(
+                spec.clone(),
+                Arc::clone(self.shared_schema()),
+                result.modes.clone(),
+            );
             return Ok(ClusterRun {
                 assignments: result.assignments,
                 centroids: Centroids::Modes(result.modes),
@@ -415,7 +422,7 @@ impl Input for &Dataset {
                 };
                 let model = FittedModel::categorical(
                     spec.clone(),
-                    self.schema().clone(),
+                    Arc::clone(self.shared_schema()),
                     result.modes.clone(),
                 );
                 Ok(ClusterRun {
@@ -446,7 +453,7 @@ impl Input for &Dataset {
                 };
                 let model = FittedModel::categorical(
                     spec.clone(),
-                    self.schema().clone(),
+                    Arc::clone(self.shared_schema()),
                     result.modes.clone(),
                 );
                 Ok(ClusterRun {
@@ -687,7 +694,7 @@ impl Input for &MixedDataset<'_> {
             })?;
             let model = FittedModel::mixed(
                 spec.clone(),
-                self.categorical.schema().clone(),
+                Arc::clone(self.categorical.shared_schema()),
                 &result.prototypes,
                 gamma,
             );
@@ -737,7 +744,7 @@ impl Input for &MixedDataset<'_> {
             };
             let model = FittedModel::mixed(
                 spec.clone(),
-                self.categorical.schema().clone(),
+                Arc::clone(self.categorical.shared_schema()),
                 &result.prototypes,
                 gamma,
             );
@@ -765,7 +772,7 @@ impl Input for &MixedDataset<'_> {
                 };
                 let model = FittedModel::mixed(
                     spec.clone(),
-                    self.categorical.schema().clone(),
+                    Arc::clone(self.categorical.shared_schema()),
                     &result.prototypes,
                     gamma,
                 );
@@ -809,7 +816,7 @@ impl Input for &MixedDataset<'_> {
                 };
                 let model = FittedModel::mixed(
                     spec.clone(),
-                    self.categorical.schema().clone(),
+                    Arc::clone(self.categorical.shared_schema()),
                     &result.prototypes,
                     gamma,
                 );

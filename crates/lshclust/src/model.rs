@@ -59,8 +59,10 @@ use lshclust_kmodes::kmeans::{sq_euclidean, NumericDataset};
 use lshclust_kmodes::kprototypes::{MixedDataset, Prototypes};
 use lshclust_kmodes::modes::Modes;
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
+use std::cell::RefCell;
 use std::fmt;
 use std::path::Path;
+use std::sync::Arc;
 
 /// Envelope marker of the JSON model artifact.
 pub const MODEL_FORMAT: &str = "lshclust-model";
@@ -167,8 +169,9 @@ impl std::error::Error for ModelError {}
 pub struct FittedModel {
     spec: ClusterSpec,
     /// The mode part and its training schema (categorical and mixed
-    /// models).
-    modes: Option<(Schema, Modes)>,
+    /// models). The schema is shared with the training dataset, never
+    /// copied from it.
+    modes: Option<(Arc<Schema>, Modes)>,
     /// The mean part (numeric and mixed models).
     means: Option<Means>,
     /// The resolved mixing weight γ (mixed models).
@@ -244,7 +247,7 @@ fn argmin_full(k: usize, mut distance: impl FnMut(usize) -> f64) -> ClusterId {
 impl FittedModel {
     // ---- construction (fit side) ------------------------------------------
 
-    pub(crate) fn categorical(spec: ClusterSpec, schema: Schema, modes: Modes) -> Self {
+    pub(crate) fn categorical(spec: ClusterSpec, schema: Arc<Schema>, modes: Modes) -> Self {
         Self::assemble(spec, Some((schema, modes)), None, None)
     }
 
@@ -258,7 +261,7 @@ impl FittedModel {
 
     pub(crate) fn mixed(
         spec: ClusterSpec,
-        schema: Schema,
+        schema: Arc<Schema>,
         prototypes: &Prototypes,
         gamma: f64,
     ) -> Self {
@@ -273,7 +276,7 @@ impl FittedModel {
     /// A model over these centroid parts, its index hashed from them.
     fn assemble(
         spec: ClusterSpec,
-        modes: Option<(Schema, Modes)>,
+        modes: Option<(Arc<Schema>, Modes)>,
         means: Option<Means>,
         gamma: Option<f64>,
     ) -> Self {
@@ -304,7 +307,7 @@ impl FittedModel {
             modes: self
                 .modes
                 .as_ref()
-                .map(|(schema, modes)| (schema, modes.values())),
+                .map(|(schema, modes)| (&**schema, modes.values())),
             means: self.means.as_ref().map(|m| (m.dim, &m.values[..])),
         }
     }
@@ -327,9 +330,10 @@ impl FittedModel {
                 distance_threshold: Some(config.distance_threshold),
                 max_clusters: config.max_clusters,
             });
+        // The stream keeps interning, so the model takes a snapshot.
         Ok(Self::categorical(
             spec,
-            stream.schema().clone(),
+            Arc::new(stream.schema().clone()),
             stream.snapshot_modes(),
         ))
     }
@@ -358,6 +362,13 @@ impl FittedModel {
 
     /// The training schema (categorical and mixed models).
     pub fn schema(&self) -> Option<&Schema> {
+        self.shared_schema().map(|schema| &**schema)
+    }
+
+    /// The training schema as the shared allocation (categorical and mixed
+    /// models): a batch [`Dataset`] built over it passes the encoding check
+    /// of [`Self::predict`] without comparing a single value.
+    pub fn shared_schema(&self) -> Option<&Arc<Schema>> {
         self.modes.as_ref().map(|(schema, _)| schema)
     }
 
@@ -440,13 +451,13 @@ impl FittedModel {
     /// Assigns one encoded categorical row. Values must be encoded under
     /// the model's schema (see [`Self::encode_row`] for raw strings).
     pub fn predict_one(&self, row: &[ValueId]) -> Result<ClusterId, ModelError> {
-        self.assign(Some(row), None, &mut self.scratch())
+        self.assign_one(Some(row), None)
     }
 
     /// Assigns one numeric point ([`ModelError::NonFinite`] for a NaN or
     /// infinite coordinate).
     pub fn predict_point(&self, point: &[f64]) -> Result<ClusterId, ModelError> {
-        self.assign(None, Some(point), &mut self.scratch())
+        self.assign_one(None, Some(point))
     }
 
     /// Assigns one mixed item (encoded categorical part + numeric part;
@@ -456,7 +467,7 @@ impl FittedModel {
         row: &[ValueId],
         point: &[f64],
     ) -> Result<ClusterId, ModelError> {
-        self.assign(Some(row), Some(point), &mut self.scratch())
+        self.assign_one(Some(row), Some(point))
     }
 
     /// Encodes a raw string row under the model's training schema. Values
@@ -500,6 +511,31 @@ impl FittedModel {
             .map_or_else(IndexScratch::default, CentroidIndex::scratch)
     }
 
+    /// [`Self::assign`] for the single-item predicts, on this thread's
+    /// reused scratch: it is replaced only by a model with more clusters
+    /// than it was sized for, so a stream of single calls allocates none.
+    fn assign_one(
+        &self,
+        row: Option<&[ValueId]>,
+        point: Option<&[f64]>,
+    ) -> Result<ClusterId, ModelError> {
+        thread_local! {
+            /// The scratch and the cluster count it serves.
+            static SCRATCH: RefCell<(usize, IndexScratch)> = RefCell::default();
+        }
+        let Some(index) = &self.index else {
+            return self.assign(row, point, &mut IndexScratch::default());
+        };
+        SCRATCH.with(|cell| {
+            let (capacity, scratch) = &mut *cell.borrow_mut();
+            if *capacity < self.k() {
+                *capacity = self.k();
+                *scratch = index.scratch();
+            }
+            self.assign(row, point, scratch)
+        })
+    }
+
     /// Assigns one query — an encoded row, a point, or both — against
     /// caller-held scratch: validates it, shortlists it through the index,
     /// scores the shortlist, and searches every cluster when the shortlist
@@ -532,7 +568,7 @@ impl FittedModel {
     fn check_query(
         &self,
         attrs: Option<usize>,
-        encoding: Option<&Schema>,
+        encoding: Option<&Arc<Schema>>,
         dims: Option<usize>,
     ) -> Result<(), ModelError> {
         if attrs.is_some() != self.modes.is_some() || dims.is_some() != self.means.is_some() {
@@ -541,7 +577,7 @@ impl FittedModel {
                 got: modality_of(attrs.is_some(), dims.is_some()),
             });
         }
-        if let (Some(got), Some(schema)) = (attrs, self.schema()) {
+        if let (Some(got), Some(schema)) = (attrs, self.shared_schema()) {
             check_shape("attributes", schema.n_attrs(), got)?;
             if let Some(input) = encoding {
                 check_encoding(schema, input)?;
@@ -691,7 +727,7 @@ impl FittedModel {
         if let Some((schema, modes)) = &self.modes {
             w.push(
                 envelope::SEC_SCHEMA,
-                serde_json::to_string(schema)
+                serde_json::to_string(&**schema)
                     .expect("schema serializes")
                     .into_bytes(),
             );
@@ -882,7 +918,7 @@ fn decode_v2(bytes: &[u8]) -> Result<FittedModel, ModelError> {
 fn decode_modes(
     sections: &envelope::Sections<'_>,
     spec: &ClusterSpec,
-) -> Result<(Schema, Modes), ModelError> {
+) -> Result<(Arc<Schema>, Modes), ModelError> {
     let schema_text = std::str::from_utf8(sections.require(envelope::SEC_SCHEMA)?)
         .map_err(|_| corrupt("schema section is not UTF-8"))?;
     let schema: Schema =
@@ -896,7 +932,7 @@ fn decode_modes(
     let modes = Modes::from_parts(k, n_attrs, values);
     check_mode_arity(&schema, &modes).map_err(|e| corrupt(e.0))?;
     check_cluster_count(modes.k(), spec.k).map_err(|e| corrupt(e.0))?;
-    Ok((schema, modes))
+    Ok((Arc::new(schema), modes))
 }
 
 fn decode_means(
@@ -947,8 +983,13 @@ fn f64_cells(cells: &[u8]) -> Vec<f64> {
 /// Prefix relationships are fine in either direction: a shorter input
 /// dictionary saw fewer values, and input ids beyond the model's domain
 /// match no centroid value (unseen-value semantics). Anything else is a
-/// silent-garbage hazard, so it is rejected.
-fn check_encoding(model: &Schema, input: &Schema) -> Result<(), ModelError> {
+/// silent-garbage hazard, so it is rejected. A batch over the model's own
+/// schema allocation (a training dataset, or one built over
+/// [`FittedModel::shared_schema`]) passes without a comparison.
+fn check_encoding(model: &Arc<Schema>, input: &Arc<Schema>) -> Result<(), ModelError> {
+    if Arc::ptr_eq(model, input) {
+        return Ok(());
+    }
     for a in 0..model.n_attrs() {
         let attr = AttrId(a as u32);
         let aligned = model
@@ -1057,7 +1098,7 @@ impl Deserialize for FittedModel {
                 let modes: Modes = field_of(body, "modes")?;
                 check_mode_arity(&schema, &modes)?;
                 check_cluster_count(modes.k(), spec.k)?;
-                (Some((schema, modes)), None, None)
+                (Some((Arc::new(schema), modes)), None, None)
             }
             "Numeric" => {
                 let dim: usize = field_of(body, "dim")?;
@@ -1085,7 +1126,11 @@ impl Deserialize for FittedModel {
                     dim: prototypes.dim(),
                     values: prototypes.means,
                 };
-                (Some((schema, prototypes.modes)), Some(means), Some(gamma))
+                (
+                    Some((Arc::new(schema), prototypes.modes)),
+                    Some(means),
+                    Some(gamma),
+                )
             }
             other => return Err(SerdeError(format!("unknown centroid family `{other}`"))),
         };
@@ -1155,7 +1200,7 @@ pub trait PredictInput {
 
 impl PredictInput for &Dataset {
     fn predict_with(self, model: &FittedModel) -> Result<Vec<ClusterId>, ModelError> {
-        model.check_query(Some(self.n_attrs()), Some(self.schema()), None)?;
+        model.check_query(Some(self.n_attrs()), Some(self.shared_schema()), None)?;
         model.assign_batch(self.n_items(), |item| (Some(self.row(item)), None))
     }
 }
@@ -1172,7 +1217,7 @@ impl PredictInput for &MixedDataset<'_> {
         let cat = self.categorical;
         model.check_query(
             Some(cat.n_attrs()),
-            Some(cat.schema()),
+            Some(cat.shared_schema()),
             Some(self.numeric.dim()),
         )?;
         model.assign_batch(self.n_items(), |item| {

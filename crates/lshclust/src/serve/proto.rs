@@ -183,9 +183,9 @@ pub fn submit_predict(
 }
 
 /// One ordered reply slot: a ticket still being served, a `{"stats"}`
-/// reply still to be rendered, or an already-rendered control line. Writer
-/// loops render these FIFO so responses leave in request order even though
-/// workers finish out of order.
+/// reply or push still to be rendered, or an already-rendered control line.
+/// Writer loops render these FIFO so responses leave in request order even
+/// though workers finish out of order.
 pub enum Outgoing {
     /// A pending prediction; render with [`render_reply`].
     Ticket {
@@ -202,6 +202,9 @@ pub enum Outgoing {
         /// The server whose counters the reply reports.
         server: Arc<ModelServer>,
     },
+    /// The periodic `{"stats": {…}}` push ([`ProtoEngine::stats_every`]),
+    /// rendered like [`Outgoing::Stats`] when the writer reaches it.
+    StatsPush(Arc<ModelServer>),
     /// A response that is already a complete line.
     Line(String),
 }
@@ -231,6 +234,10 @@ pub fn render_reply(out: Outgoing, wait_cap: Duration) -> String {
             ),
         },
         Outgoing::Stats { id, server } => ok_response(id.as_ref(), stats_fields(&server)),
+        Outgoing::StatsPush(server) => json_line(Value::Object(vec![(
+            "stats".to_owned(),
+            Value::Object(stats_fields(&server)),
+        )])),
         Outgoing::Line(line) => line,
     }
 }
@@ -296,20 +303,23 @@ impl ProtoEngine {
     }
 
     /// Enables the periodic stats push: after every `n` predict requests
-    /// the next [`Self::take_due_stats`] call returns an unsolicited
-    /// `{"stats": {…}}` line for the front to emit, so dashboards tail the
-    /// response stream instead of polling `{"stats": true}`. `0` (the
-    /// default) disables the push.
+    /// the next [`Self::take_due_stats`] call returns the slot of an
+    /// unsolicited `{"stats": {…}}` line for the front to enqueue, so
+    /// dashboards tail the response stream instead of polling
+    /// `{"stats": true}`. `0` (the default) disables the push.
     pub fn stats_every(mut self, n: u64) -> Self {
         self.stats_every = n;
         self
     }
 
-    /// The unsolicited `{"stats": {…}}` line when the periodic push has
-    /// just come due, `None` otherwise. Fronts call this after each handled
-    /// line; the milestone bookkeeping guarantees one push per cadence
-    /// point across all clones of this engine.
-    pub fn take_due_stats(&self) -> Option<String> {
+    /// The reply slot of the unsolicited `{"stats": {…}}` line when the
+    /// periodic push has just come due, `None` otherwise. Fronts call this
+    /// after each handled line and enqueue the slot behind its reply; it is
+    /// rendered when the writer reaches it ([`render_reply`]), so its
+    /// counters include every reply written before it. The milestone
+    /// bookkeeping guarantees one push per cadence point across all clones
+    /// of this engine.
+    pub fn take_due_stats(&self) -> Option<Outgoing> {
         if self.stats_every == 0 {
             return None;
         }
@@ -318,12 +328,7 @@ impl ProtoEngine {
             return None;
         }
         let prev = self.stats_pushed.fetch_max(milestone, Ordering::Relaxed);
-        (prev < milestone).then(|| {
-            json_line(Value::Object(vec![(
-                "stats".to_owned(),
-                Value::Object(stats_fields(&self.server)),
-            )]))
-        })
+        (prev < milestone).then(|| Outgoing::StatsPush(Arc::clone(&self.server)))
     }
 
     /// The served model server.
@@ -542,18 +547,25 @@ mod tests {
         ));
     }
 
+    /// The due stats push, rendered as a writer renders it.
+    fn due_stats(engine: &ProtoEngine) -> Option<String> {
+        engine
+            .take_due_stats()
+            .map(|out| render_reply(out, Duration::from_secs(10)))
+    }
+
     #[test]
     fn stats_push_fires_once_per_cadence_point_and_is_off_by_default() {
         // Off by default: no push no matter how many predicts.
         let silent = engine();
         let _ = reply_line(&silent, r#"{"predict": {"point": [0.1]}}"#);
-        assert_eq!(silent.take_due_stats(), None);
+        assert_eq!(due_stats(&silent), None);
 
         let pushing = engine().stats_every(2);
         let _ = reply_line(&pushing, r#"{"predict": {"point": [0.1]}}"#);
-        assert_eq!(pushing.take_due_stats(), None, "1 of 2 predicts");
+        assert_eq!(due_stats(&pushing), None, "1 of 2 predicts");
         let _ = reply_line(&pushing, r#"{"predict": {"point": [9.1]}}"#);
-        let push = pushing.take_due_stats().expect("2nd predict comes due");
+        let push = due_stats(&pushing).expect("2nd predict comes due");
         // Unsolicited shape: {"stats": {…}} — distinguishable from the
         // {"ok": {…}} reply to an explicit {"stats": true} request.
         assert!(push.starts_with(r#"{"stats":"#), "{push}");
@@ -562,10 +574,10 @@ mod tests {
         }
         // The milestone is consumed: a re-poll (or a racing clone) stays
         // quiet until the next cadence point …
-        assert_eq!(pushing.take_due_stats(), None);
-        assert_eq!(pushing.clone().take_due_stats(), None);
+        assert_eq!(due_stats(&pushing), None);
+        assert_eq!(due_stats(&pushing.clone()), None);
         let _ = reply_line(&pushing, r#"{"predict": {"point": [0.1]}}"#);
-        assert_eq!(pushing.take_due_stats(), None, "3 of 4 predicts");
+        assert_eq!(due_stats(&pushing), None, "3 of 4 predicts");
         // … and a clone shares the counter (socket connections all feed the
         // same cadence).
         let _ = reply_line(&pushing.clone(), r#"{"predict": {"point": [9.1]}}"#);
@@ -575,7 +587,29 @@ mod tests {
         let counting = engine();
         let counting = counting.stats_every(1);
         let _ = reply_line(&counting, r#"{"stats": true}"#);
-        assert_eq!(counting.take_due_stats(), None);
+        assert_eq!(due_stats(&counting), None);
+    }
+
+    #[test]
+    fn stats_push_counts_every_reply_written_before_it() {
+        let engine = engine().stats_every(3);
+        let mut slots = Vec::new();
+        for point in ["0.1", "9.1", "0.2"] {
+            match engine.handle_line(&format!(r#"{{"predict": {{"point": [{point}]}}}}"#)) {
+                LineOutcome::Reply(out) => slots.push(out),
+                _ => panic!("a predict is answered"),
+            }
+        }
+        // The push is enqueued when the third predict is read, before any
+        // reply is written, and rendered only when the writer reaches it.
+        slots.push(engine.take_due_stats().expect("3rd predict comes due"));
+        let lines: Vec<String> = slots
+            .into_iter()
+            .map(|out| render_reply(out, Duration::from_secs(10)))
+            .collect();
+        let push = &lines[3];
+        assert!(push.starts_with(r#"{"stats":"#), "{push}");
+        assert!(push.contains(r#""submitted":3,"resolved":3"#), "{push}");
     }
 
     #[test]

@@ -548,6 +548,8 @@ fn read_lines(mut stream: Stream, shared: &Arc<Shared>, tx: &mpsc::Sender<Outgoi
                     // newline arrives in the same chunk is still rejected.
                     let _ = tx.send(oversized_reply(shared.options.max_line_bytes));
                 } else if !handle_line(shared, tx, &pending) {
+                    // Handled: the trailing-line path below must not see it.
+                    pending.clear();
                     break 'read;
                 }
                 pending.clear();
@@ -590,9 +592,10 @@ fn handle_line(shared: &Arc<Shared>, tx: &mpsc::Sender<Outgoing>, raw: &[u8]) ->
         LineOutcome::Reply(out) => {
             let _ = tx.send(out);
             // Periodic stats push (`--stats-every`): rides the same ordered
-            // reply channel, so it lands between responses, never inside one.
+            // reply channel, so it lands between responses, never inside one,
+            // and counts every reply written before it.
             if let Some(stats) = shared.engine.take_due_stats() {
-                let _ = tx.send(Outgoing::Line(stats));
+                let _ = tx.send(stats);
             }
             true
         }

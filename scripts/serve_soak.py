@@ -12,8 +12,10 @@ Exercises the hardened serving tier end to end, from outside the process:
    reading its replies;
 5. diffs every answer the surviving clients read against the serial
    baseline, byte for byte on the cluster id;
-6. asks the daemon to shut down and checks its drain report resolved every
-   ticket it accepted.
+6. asks the daemon to shut down on a connection that first sends a
+   predict, checks the shutdown is answered exactly once before the
+   connection closes, and checks the drain report resolved every ticket it
+   accepted.
 
 Exits non-zero on any mismatch, daemon crash, or leaked ticket. Stdlib only.
 """
@@ -185,11 +187,19 @@ def main():
             for t in threads:
                 t.join(timeout=120)
 
+            # A predict, then the shutdown, on one connection: the shutdown
+            # line must be handled once, so exactly one shutdown reply
+            # arrives before the daemon closes the connection.
             shutdown = Client(addr)
+            shutdown.predict(rows[0], "last")
             shutdown.send({"shutdown": True})
-            reply = shutdown.read()
-            assert reply.get("ok", {}).get("shutdown"), f"shutdown refused: {reply}"
+            replies = [json.loads(line) for line in shutdown.reader]
             shutdown.close()
+            if not replies or replies[0].get("ok", {}).get("cluster") != baseline[0]:
+                errors.append(f"predict before shutdown: {replies[:1]}")
+            shutdowns = [r for r in replies if r.get("ok", {}).get("shutdown")]
+            if len(shutdowns) != 1 or len(replies) != 2:
+                errors.append(f"expected one predict and one shutdown reply, got {replies}")
         finally:
             try:
                 code = daemon.proc.wait(timeout=60)

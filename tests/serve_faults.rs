@@ -16,7 +16,7 @@ use lshclust::serve::proto::ProtoEngine;
 use lshclust::serve::socket::{SocketOptions, SocketServer};
 use lshclust::serve::{ModelServer, ServerConfig};
 use lshclust::{ClusterId, ClusterSpec, Clusterer, DatasetBuilder, FittedModel, Lsh};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -355,9 +355,18 @@ fn client_requested_shutdown_unblocks_wait_and_drains() {
     client.send(r#"{"id":2,"shutdown":true}"#);
     let reply = client.read_line();
     assert!(reply.contains(r#""shutdown":true"#), "{reply}");
+    // The shutdown line is handled once: its reply is the last line the
+    // connection carries before EOF.
+    let mut rest = String::new();
+    client
+        .reader
+        .read_to_string(&mut rest)
+        .expect("the server closes the connection after the shutdown reply");
+    assert_eq!(rest, "", "lines after the shutdown reply");
 
     let report = waiter.join().expect("wait() returns after shutdown");
     assert_eq!(report.tickets.submitted, report.tickets.resolved);
+    assert_eq!(report.lines, 2, "one predict and one shutdown line");
     // New connections are refused or go unanswered after the drain; either
     // way the server side is gone — a fresh connect must not be served.
     if let Ok(stream) = TcpStream::connect(addr) {

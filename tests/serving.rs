@@ -633,3 +633,132 @@ fn mixed_models_reject_non_finite_points() {
     }
     assert_eq!(model.predict(&data).unwrap(), run.assignments);
 }
+
+// ---------------------------------------------------------------------------
+// The schema is shared, never copied: a fit's model holds the dataset's own
+// schema allocation, under every discipline that builds a categorical part.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn fitted_models_share_the_dataset_schema_allocation() {
+    use lshclust::Fit;
+    use std::sync::Arc;
+
+    let minibatch = Fit::MiniBatch {
+        batch_size: 8,
+        n_steps: 20,
+        refresh_every: 4,
+    };
+    let union = Lsh::Union {
+        bands: 16,
+        rows: 2,
+        sim_bands: 8,
+        sim_rows: 4,
+    };
+    let minhash = Lsh::MinHash { bands: 16, rows: 2 };
+    let (cat, num) = mixed_blobs(4, 6);
+    let mixed = MixedDataset::new(&cat, &num);
+    for (lsh, modality) in [(minhash, "categorical"), (union, "mixed")] {
+        let specs = [
+            ClusterSpec::new(4).lsh(lsh),
+            ClusterSpec::new(4).lsh(Lsh::None),
+            ClusterSpec::new(4).lsh(lsh).fit(minibatch),
+            ClusterSpec::new(4).lsh(lsh).shards(2),
+        ];
+        for spec in specs {
+            let spec = spec.seed(1);
+            let label = format!(
+                "{modality} {:?} {:?} shards={}",
+                spec.lsh, spec.fit, spec.shards
+            );
+            let clusterer = Clusterer::new(spec);
+            let run = if modality == "mixed" {
+                clusterer.fit(&mixed)
+            } else {
+                clusterer.fit(&cat)
+            }
+            .unwrap();
+            let schema = run.model.shared_schema().expect("a mode part");
+            assert!(Arc::ptr_eq(schema, cat.shared_schema()), "{label}");
+            if run.summary.converged {
+                let predicted = if modality == "mixed" {
+                    run.model.predict(&mixed)
+                } else {
+                    run.model.predict(&cat)
+                };
+                assert_eq!(predicted.unwrap(), run.assignments, "{label}");
+            }
+        }
+    }
+}
+
+/// Single-item predicts reuse one scratch per thread across models; calls
+/// interleaved over models of different `k`, index families and
+/// modalities still answer exactly as each model's batch predict.
+#[test]
+fn interleaved_single_predicts_across_models_match_batch_predicts() {
+    let (cat, num) = mixed_blobs(4, 6);
+    let mixed = MixedDataset::new(&cat, &num);
+    // The SimHash-only model has the largest k, so the scratch it sizes
+    // must also serve the MinHash probes of the smaller models.
+    let numeric = Clusterer::new(
+        ClusterSpec::new(6)
+            .lsh(Lsh::SimHash { bands: 8, rows: 2 })
+            .seed(2),
+    )
+    .fit(&num)
+    .unwrap()
+    .model;
+    let small = Clusterer::new(
+        ClusterSpec::new(2)
+            .lsh(Lsh::MinHash { bands: 16, rows: 2 })
+            .seed(2),
+    )
+    .fit(&cat)
+    .unwrap()
+    .model;
+    let large = Clusterer::new(
+        ClusterSpec::new(5)
+            .lsh(Lsh::MinHash { bands: 16, rows: 2 })
+            .seed(2),
+    )
+    .fit(&cat)
+    .unwrap()
+    .model;
+    let union = Clusterer::new(
+        ClusterSpec::new(3)
+            .lsh(Lsh::Union {
+                bands: 16,
+                rows: 2,
+                sim_bands: 8,
+                sim_rows: 4,
+            })
+            .seed(2),
+    )
+    .fit(&mixed)
+    .unwrap()
+    .model;
+    let exact = Clusterer::new(ClusterSpec::new(3).lsh(Lsh::None).seed(2))
+        .fit(&cat)
+        .unwrap()
+        .model;
+    let batches = [
+        numeric.predict(&num).unwrap(),
+        small.predict(&cat).unwrap(),
+        large.predict(&cat).unwrap(),
+        union.predict(&mixed).unwrap(),
+        exact.predict(&cat).unwrap(),
+    ];
+    for i in 0..cat.n_items() {
+        let singles = [
+            numeric.predict_point(num.row(i)).unwrap(),
+            small.predict_one(cat.row(i)).unwrap(),
+            large.predict_one(cat.row(i)).unwrap(),
+            union.predict_mixed_one(cat.row(i), num.row(i)).unwrap(),
+            exact.predict_one(cat.row(i)).unwrap(),
+        ];
+        for (m, (single, batch)) in singles.iter().zip(&batches).enumerate() {
+            assert_eq!(*single, batch[i], "model {m}, item {i}");
+        }
+    }
+}
