@@ -95,7 +95,11 @@ fn main() -> ExitCode {
         eprintln!("# {id} done in {:.1}s", start.elapsed().as_secs_f64());
         if let Some(dir) = &settings.out_dir {
             if let Err(e) = report.write_csvs(dir, id) {
-                eprintln!("# warning: failed to write CSVs for {id}: {e}");
+                eprintln!(
+                    "error: failed to write CSVs for {id} to {}: {e}",
+                    dir.display()
+                );
+                return ExitCode::FAILURE;
             }
         }
     }

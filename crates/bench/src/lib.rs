@@ -1,6 +1,5 @@
 //! Experiment harness: everything needed to regenerate the paper's tables
-//! and figures, shared between the `experiments` binary and the Criterion
-//! micro-benchmarks.
+//! and figures, driven by the `experiments` binary.
 //!
 //! * [`scale`] — the paper's dataset shapes and the `--scale` machinery that
 //!   shrinks them for laptop runs while preserving the n : k : m ratios,
@@ -10,26 +9,6 @@
 //!   (Figs. 9–10),
 //! * [`figures`] — rendering each table/figure as aligned text + CSV,
 //! * [`ablate`] -- design-choice ablations and the LSH-vs-canopy-vs-mini-batch comparison,
-//! * [`threads`] — the thread-scaling experiment behind `BENCH_threads.json`
-//!   (facade-driven, all four families),
-//! * [`minibatch`] — the fit-discipline comparison behind
-//!   `BENCH_minibatch.json` (full vs mini-batch vs shortlisted mini-batch),
-//! * [`serve`] — the serving-throughput experiment behind
-//!   `BENCH_serve.json` (coalesced `ModelServer` batches vs
-//!   one-row-per-call, per worker count and modality),
-//! * [`shard`] — the shard-scaling experiment behind `BENCH_shard.json`
-//!   (fit wall-time and peak per-shard item count vs `ClusterSpec::shards`),
-//! * [`artifact`] — the persistence experiment behind
-//!   `BENCH_artifact.json` (v1 JSON vs v2 flat binary load latency,
-//!   hot-reload percentiles under load, cache-hit vs refit wall time),
-//! * [`closures`] — the cluster-closure experiment behind
-//!   `BENCH_closures.json` (per-iteration assign wall-time and skip ratio,
-//!   closures on vs off, with a byte-identity guard),
-//! * [`sim`] — the similarity-workloads experiment behind `BENCH_sim.json`
-//!   (candidate-pair volume and verify time vs brute-force all-pairs, plus
-//!   recall against the exact join, with a committed recall floor),
-//! * [`mod@env`] — the shared [`env::BenchEnv`] header every `BENCH_*.json`
-//!   artifact embeds, so the report schemas stop drifting,
 //! * [`table`] — a tiny fixed-width table printer.
 //!
 //! The experiment modules drive the *internal* per-algorithm configs
@@ -44,16 +23,8 @@
 #![warn(missing_docs)]
 
 pub mod ablate;
-pub mod artifact;
-pub mod closures;
-pub mod env;
 pub mod figures;
-pub mod minibatch;
 pub mod scale;
-pub mod serve;
-pub mod shard;
-pub mod sim;
 pub mod synthetic;
 pub mod table;
 pub mod textexp;
-pub mod threads;

@@ -509,7 +509,7 @@ pub struct MhKMeansConfig {
     /// Cluster-closure incremental assignment (byte-identical results;
     /// `false` is the escape hatch).
     pub closures: bool,
-    /// Interleaved parallel chunk scheduling (identical results; bench axis).
+    /// Interleaved parallel chunk scheduling (identical results).
     pub interleaved: bool,
 }
 

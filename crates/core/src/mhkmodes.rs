@@ -51,8 +51,7 @@ pub struct MhKModesConfig {
     /// either way; `false` is the `--no-closures` escape hatch.
     pub closures: bool,
     /// Interleaved (round-robin) chunk scheduling for the parallel assignment
-    /// pass instead of contiguous chunks. Identical results; exists so the
-    /// bench can sweep the schedule axis.
+    /// pass instead of contiguous chunks. Identical results.
     pub interleaved: bool,
 }
 

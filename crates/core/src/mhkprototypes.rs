@@ -290,13 +290,13 @@ pub struct MhKPrototypesConfig {
     /// Cluster-closure incremental assignment (byte-identical results;
     /// `false` is the escape hatch).
     pub closures: bool,
-    /// Interleaved parallel chunk scheduling (identical results; bench axis).
+    /// Interleaved parallel chunk scheduling (identical results).
     pub interleaved: bool,
 }
 
 impl MhKPrototypesConfig {
     /// Defaults: 20b5r MinHash, 8 bands × 16 bits SimHash (high-rows SimHash
-    /// keeps angular wedges narrow; see `bench_index`), 100-iteration cap,
+    /// keeps angular wedges narrow), 100-iteration cap,
     /// serial assignment.
     pub fn new(k: usize, gamma: f64) -> Self {
         Self {

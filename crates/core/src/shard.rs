@@ -131,12 +131,6 @@ impl ShardPlan {
         let hi = (lo + self.chunk).min(self.n_items);
         lo..hi
     }
-
-    /// The largest per-shard item count — the peak memory driver a sharded
-    /// deployment sizes against (reported by `bench_shard`).
-    pub fn peak_shard_items(&self) -> usize {
-        self.chunk.min(self.n_items)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1871,10 +1865,6 @@ mod tests {
                 seen.extend(plan.range(shard));
             }
             assert_eq!(seen, (0..n).collect::<Vec<_>>(), "n={n} s={s}");
-            assert!(plan.peak_shard_items() <= n.max(1));
-            for shard in 0..plan.n_shards() {
-                assert!(plan.range(shard).len() <= plan.peak_shard_items());
-            }
         }
     }
 

@@ -275,8 +275,7 @@ pub fn verified_pairs(
 }
 
 /// The exact all-pairs scan: every pair at or under `threshold`, sorted by
-/// `(a, b)` — the ground truth the LSH path's recall is measured against
-/// (and the brute-force baseline the benches time).
+/// `(a, b)` — the ground truth the LSH path's recall is measured against.
 pub fn brute_force_pairs(data: &PairData<'_>, threshold: f64) -> Vec<VerifiedPair> {
     let n = data.n_items();
     let mut pairs = Vec::new();

@@ -25,7 +25,7 @@
 //!   — a little-endian sectioned layout that additionally persists the flat
 //!   item-major band-key buffers, so load refills the index buckets by
 //!   *copying* instead of re-hashing — the difference that matters at
-//!   large `k` (see `BENCH_artifact.json`).
+//!   large `k`.
 //!
 //! Either way a reloaded model answers every query identically.
 //!

@@ -64,8 +64,7 @@ use std::time::{Duration, Instant};
 /// All counts clamp to at least 1 at [`ModelServer::start`] (the workspace's
 /// `threads(0)` boundary rule) except [`Self::hot_keys`], where 0 genuinely
 /// means "no cache". `max_batch: 1` or a zero `flush_latency` disables
-/// coalescing — every request is served as its own batch — which is the
-/// ablation mode `bench_serve` measures against.
+/// coalescing: every request is served as its own batch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ServerConfig {
     /// Worker threads popping batches from the queue.

@@ -431,11 +431,25 @@ impl Sim {
         &self.spec
     }
 
+    /// Rejects a threshold no distance can meet (NaN, or below 0); `+∞`
+    /// stays valid and verifies every candidate.
+    fn check_threshold(&self) -> Result<(), SpecError> {
+        let threshold = self.spec.threshold;
+        if threshold.is_nan() || threshold < 0.0 {
+            return Err(SpecError::InvalidThreshold {
+                threshold: threshold.to_string(),
+            });
+        }
+        Ok(())
+    }
+
     /// Near-duplicate detection: every bucket-collision candidate pair is
     /// exact-verified against the threshold; surviving pairs are grouped
     /// into duplicate components (union over pairs) with the smallest item
-    /// id as each component's representative.
+    /// id as each component's representative. A NaN or negative threshold
+    /// is [`SpecError::InvalidThreshold`].
     pub fn dedup<D: SimInput + ?Sized>(&self, data: &D) -> Result<DedupReport, SpecError> {
+        self.check_threshold()?;
         let candidates = data.candidates(&self.spec)?;
         let kernel = data.pair_data(&self.spec);
         let out = verified_pairs(
@@ -494,8 +508,10 @@ impl Sim {
 
     /// Similarity self-join: every exact-verified pair at or under the
     /// threshold, sorted closest-first with `(a, b)` as the deterministic
-    /// tie-break, truncated to `max_pairs` when set.
+    /// tie-break, truncated to `max_pairs` when set. A NaN or negative
+    /// threshold is [`SpecError::InvalidThreshold`].
     pub fn join<D: SimInput + ?Sized>(&self, data: &D) -> Result<JoinReport, SpecError> {
+        self.check_threshold()?;
         let candidates = data.candidates(&self.spec)?;
         let kernel = data.pair_data(&self.spec);
         let out = verified_pairs(
@@ -536,8 +552,8 @@ impl Sim {
     }
 
     /// Exact self-join over all pairs — the ground truth [`Sim::join`]'s
-    /// recall is measured against (and the baseline the benches time). Uses
-    /// the same threshold, cap and tie-order; ignores the spec's LSH scheme.
+    /// recall is measured against. Uses the same threshold, cap and
+    /// tie-order; ignores the spec's LSH scheme.
     pub fn join_exact<D: SimInput + ?Sized>(&self, data: &D) -> JoinReport {
         let kernel = data.pair_data(&self.spec);
         let exact = brute_force_pairs(&kernel, self.spec.threshold);

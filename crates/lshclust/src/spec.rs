@@ -404,8 +404,8 @@ pub struct ClusterSpec {
     /// Chunk-scheduling discipline of the Jacobi parallel engine (default
     /// `false` = contiguous chunks). `true` strides items round-robin over
     /// the workers instead, which balances skewed per-item costs; results
-    /// are byte-identical either way (see `bench_threads`' scheduling
-    /// axis). Irrelevant at `threads == 1` and for exact baselines.
+    /// are byte-identical either way. Irrelevant at `threads == 1` and for
+    /// exact baselines.
     pub interleaved: bool,
 }
 
@@ -685,7 +685,7 @@ impl ClusterSpec {
 
     /// Selects interleaved (strided) vs contiguous chunk scheduling for the
     /// Jacobi parallel engine (default contiguous). Byte-identical results
-    /// either way — this is a load-balancing knob, swept by `bench_threads`.
+    /// either way — this is a load-balancing knob.
     ///
     /// ```
     /// use lshclust::ClusterSpec;
@@ -765,6 +765,12 @@ pub enum SpecError {
         /// The underlying shard/transport error.
         message: String,
     },
+    /// A similarity threshold is NaN or below 0, so no pair could ever
+    /// verify against it.
+    InvalidThreshold {
+        /// The offending threshold, as written by `f64`'s `Display`.
+        threshold: String,
+    },
 }
 
 impl fmt::Display for SpecError {
@@ -790,6 +796,9 @@ impl fmt::Display for SpecError {
             }
             SpecError::ShardFailure { message } => {
                 write!(f, "sharded fit failed: {message}")
+            }
+            SpecError::InvalidThreshold { threshold } => {
+                write!(f, "threshold {threshold} must be a non-negative number")
             }
         }
     }
@@ -932,6 +941,12 @@ mod tests {
                 },
                 vec!["sharded fit", "shard 1 exited"],
             ),
+            (
+                SpecError::InvalidThreshold {
+                    threshold: "-1".to_owned(),
+                },
+                vec!["threshold -1", "non-negative"],
+            ),
         ];
         for (err, needles) in cases {
             let text = err.to_string();
@@ -961,7 +976,7 @@ mod tests {
 
     #[test]
     fn spec_json_without_fit_field_defaults_to_full() {
-        // Pre-`fit` artifacts (saved model envelopes, committed bench specs)
+        // Pre-`fit` artifacts (saved model envelopes and specs)
         // must keep parsing; the field defaults instead of erroring.
         let mut spec = ClusterSpec::new(3).seed(9);
         spec.fit = Fit::MiniBatch {

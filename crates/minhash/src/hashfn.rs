@@ -2,14 +2,9 @@
 //!
 //! The paper simulates random row permutations with hash functions
 //! (§III-A2: "the random permutations of the matrix can be simulated by the
-//! use of n randomly chosen hash functions"). We provide two families:
-//!
-//! * [`MixHashFamily`] — a strong 64-bit finalising mixer (splitmix64-style)
-//!   applied to `x ^ seed_i`. Cheap to construct, one multiply chain per
-//!   evaluation; the default.
-//! * [`TabulationHashFamily`] — classic 8×256-entry tabulation hashing, which
-//!   is 3-independent and gives provably good MinHash behaviour, at ~16 KiB of
-//!   tables per function. Kept for the hash-family ablation bench.
+//! use of n randomly chosen hash functions"). [`MixHashFamily`] does so with
+//! a strong 64-bit finalising mixer (splitmix64-style) applied to
+//! `x ^ seed_i`: cheap to construct, one multiply chain per evaluation.
 //!
 //! Bucket tables use [`FastMap`]/[`FastSet`], `std` hash containers with the
 //! multiplicative [`FxHasher64`] (the perf-guide "alternative hashers" advice,
@@ -71,50 +66,6 @@ impl HashFamily for MixHashFamily {
     #[inline(always)]
     fn eval(&self, i: usize, x: u64) -> u64 {
         mix64(x ^ self.seeds[i])
-    }
-}
-
-/// Tabulation hashing over the 8 bytes of the key: `h(x) = ⊕_j T_j[byte_j(x)]`.
-#[derive(Clone)]
-pub struct TabulationHashFamily {
-    /// `n` functions × 8 byte-positions × 256 entries, flattened.
-    tables: Vec<u64>,
-}
-
-impl std::fmt::Debug for TabulationHashFamily {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TabulationHashFamily")
-            .field("n", &(self.tables.len() / (8 * 256)))
-            .finish()
-    }
-}
-
-impl TabulationHashFamily {
-    /// Creates `n` tabulation functions derived deterministically from `seed`.
-    pub fn new(n: usize, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x7461_6275_6c61_7465); // "tabulate"
-        let mut tables = vec![0u64; n * 8 * 256];
-        rng.fill(tables.as_mut_slice());
-        Self { tables }
-    }
-}
-
-impl HashFamily for TabulationHashFamily {
-    #[inline]
-    fn len(&self) -> usize {
-        self.tables.len() / (8 * 256)
-    }
-
-    #[inline]
-    fn eval(&self, i: usize, x: u64) -> u64 {
-        let base = i * 8 * 256;
-        let t = &self.tables[base..base + 8 * 256];
-        let mut h = 0u64;
-        for (j, chunk) in t.chunks_exact(256).enumerate() {
-            let byte = ((x >> (8 * j)) & 0xff) as usize;
-            h ^= chunk[byte];
-        }
-        h
     }
 }
 
@@ -196,22 +147,6 @@ mod tests {
         assert_ne!(f1.eval(0, 7), f1.eval(1, 7));
     }
 
-    #[test]
-    fn tabulation_is_deterministic_and_nontrivial() {
-        let f = TabulationHashFamily::new(3, 9);
-        let g = TabulationHashFamily::new(3, 9);
-        assert_eq!(f.len(), 3);
-        assert_eq!(f.eval(2, 12345), g.eval(2, 12345));
-        assert_ne!(f.eval(0, 1), f.eval(0, 2));
-    }
-
-    #[test]
-    fn tabulation_zero_key_hits_zero_bytes() {
-        let f = TabulationHashFamily::new(1, 3);
-        // h(0) = xor of the eight T_j[0] entries — defined, not zero in general.
-        let _ = f.eval(0, 0);
-    }
-
     /// Empirical uniformity check: min-hash ranks should be near-uniform.
     #[test]
     fn family_minimum_is_unbiased() {
@@ -257,6 +192,5 @@ mod tests {
     #[test]
     fn empty_families() {
         assert!(MixHashFamily::new(0, 0).is_empty());
-        assert!(TabulationHashFamily::new(0, 0).is_empty());
     }
 }

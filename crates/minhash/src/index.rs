@@ -13,7 +13,7 @@
 //! [`QueryMode::Precomputed`] materialises it per item (CSR layout) at build
 //! time, while [`QueryMode::ScanBuckets`] re-scans the buckets on every query
 //! exactly as the paper's Algorithm 2 describes. Both return identical
-//! shortlists; the ablation bench `bench_index` compares them.
+//! shortlists (`tests/index_props.rs`).
 
 use crate::banding::Banding;
 use crate::hashfn::{FastMap, MixHashFamily};

@@ -3,8 +3,8 @@
 //!
 //! The crate provides everything "hashing" in the workspace:
 //!
-//! * [`hashfn`] — seeded 64-bit hash families (mix-based and tabulation) and a
-//!   fast `HashMap` hasher for bucket tables,
+//! * [`hashfn`] — a seeded 64-bit hash family and a fast `HashMap` hasher for
+//!   bucket tables,
 //! * [`signature`] — Algorithm 1 (`SIGGEN`) plus Jaccard estimation from
 //!   signatures,
 //! * [`banding`] — the `b` bands × `r` rows scheme and band-bucket keys,
@@ -12,8 +12,8 @@
 //!   mutable cluster reference per item, candidate-cluster shortlist queries,
 //! * [`probability`] — `1 − (1 − s^r)^b`, the cluster-hit probability of
 //!   Tables I–II, the §III-C error bound, and an `(r, b)` parameter advisor,
-//! * [`simhash`] / [`pstable`] — random-hyperplane (cosine) and p-stable
-//!   (Euclidean) LSH families for the numeric further-work extension.
+//! * [`simhash`] — the random-hyperplane (cosine) LSH family for the numeric
+//!   further-work extension.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,12 +22,11 @@ pub mod banding;
 pub mod hashfn;
 pub mod index;
 pub mod probability;
-pub mod pstable;
 pub mod signature;
 pub mod simhash;
 
 pub use banding::Banding;
-pub use hashfn::{FastMap, FastSet, HashFamily, MixHashFamily, TabulationHashFamily};
+pub use hashfn::{FastMap, FastSet, HashFamily, MixHashFamily};
 pub use index::{LshIndex, LshIndexBuilder, QueryMode};
 pub use probability::LshParams;
 pub use signature::{estimate_jaccard, SignatureGenerator};

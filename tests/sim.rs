@@ -10,7 +10,7 @@
 //! is stable, not a sampling accident.
 
 use lshclust::{
-    ClusterSpec, Clusterer, FittedModel, Lsh, MixedDataset, NumericDataset, Sim, SimSpec,
+    ClusterSpec, Clusterer, FittedModel, Lsh, MixedDataset, NumericDataset, Sim, SimSpec, SpecError,
 };
 use lshclust_categorical::Dataset;
 use lshclust_datagen::datgen::{generate, DatgenConfig};
@@ -23,14 +23,17 @@ fn categorical_fixture(seed: u64) -> Dataset {
 
 /// Numeric blobs keyed off the categorical labels (same shape as the
 /// closures suite): rows with the same label land within ~0.2 per axis.
-fn numeric_blobs(labels: &[u32], dim: usize) -> NumericDataset {
+/// Blob centres sit in `[-centre, 100 - centre)` per axis; `centre = 50`
+/// spreads their directions over the whole sphere, which is what gives
+/// SimHash (an angular hash) something to discriminate on.
+fn numeric_blobs(labels: &[u32], dim: usize, centre: f64) -> NumericDataset {
     let data: Vec<f64> = labels
         .iter()
         .enumerate()
         .flat_map(|(i, &l)| {
             (0..dim).map(move |d| {
                 let h = lshclust_minhash::hashfn::mix64(u64::from(l) ^ ((d as u64) << 40));
-                (h % 100) as f64 + ((i * 13 + d) as f64 * 0.37).sin() * 0.1
+                (h % 100) as f64 - centre + ((i * 13 + d) as f64 * 0.37).sin() * 0.1
             })
         })
         .collect();
@@ -118,7 +121,7 @@ proptest! {
     #[test]
     fn numeric_pairs_match_brute_force(seed in 0u64..32) {
         let labels = categorical_fixture(seed).labels().unwrap().to_vec();
-        let data = numeric_blobs(&labels, 4);
+        let data = numeric_blobs(&labels, 4, 0.0);
         for threads in [1usize, 2, 4] {
             let spec = SimSpec::new(1.0)
                 .lsh(GENEROUS_SIMHASH)
@@ -133,7 +136,7 @@ proptest! {
     fn mixed_pairs_match_brute_force(seed in 0u64..32) {
         let cats = categorical_fixture(seed);
         let labels = cats.labels().unwrap().to_vec();
-        let nums = numeric_blobs(&labels, 4);
+        let nums = numeric_blobs(&labels, 4, 0.0);
         let data = MixedDataset::new(&cats, &nums);
         for threads in [1usize, 2, 4] {
             let spec = SimSpec::new(4.0)
@@ -169,9 +172,90 @@ fn join_reports_are_thread_invariant() {
     }
 }
 
+/// At production banding (16b2r MinHash, 8b16r SimHash, their union) the
+/// buckets must still find at least 95 % of the true pairs on clustered
+/// data, while nominating fewer pairs than brute force verifies.
+#[test]
+fn production_banding_recall_meets_the_floor() {
+    const RECALL_FLOOR: f64 = 0.95;
+    let n = 1_000;
+    let seed = 7;
+    let cats = generate(&DatgenConfig::new(n, 20, 16).seed(seed));
+    let labels = cats.labels().unwrap().to_vec();
+    let nums = numeric_blobs(&labels, 8, 50.0);
+    let mixed = MixedDataset::new(&cats, &nums);
+    let spec = |lsh: Lsh, threshold: f64| SimSpec::new(threshold).lsh(lsh).seed(seed).threads(2);
+
+    fn check<D: lshclust::SimInput + ?Sized>(spec: SimSpec, data: &D, label: &str) {
+        let sim = Sim::new(spec);
+        let join = sim.join(data).unwrap();
+        let exact = sim.join_exact(data);
+        let all_pairs = join.n_items * (join.n_items - 1) / 2;
+        assert!(exact.matched > 0, "{label}: nothing to find");
+        let recall = join.matched as f64 / exact.matched as f64;
+        assert!(
+            recall >= RECALL_FLOOR,
+            "{label}: recall {recall:.4} under the floor {RECALL_FLOOR}"
+        );
+        assert!(
+            join.candidate_pairs < all_pairs,
+            "{label}: {} candidates, not below the {all_pairs} brute-force pairs",
+            join.candidate_pairs
+        );
+    }
+
+    check(
+        spec(Lsh::MinHash { bands: 16, rows: 2 }, 3.0),
+        &cats,
+        "categorical",
+    );
+    check(
+        spec(Lsh::SimHash { bands: 8, rows: 16 }, 1.0),
+        &nums,
+        "numeric",
+    );
+    let union = Lsh::Union {
+        bands: 16,
+        rows: 2,
+        sim_bands: 8,
+        sim_rows: 16,
+    };
+    check(spec(union, 4.0), &mixed, "mixed");
+}
+
+/// A NaN or negative threshold can match nothing, so dedup and join reject
+/// it as a typed error instead of returning an empty report; 0 (exact
+/// duplicates only) stays valid.
+#[test]
+fn nan_and_negative_thresholds_are_typed_errors() {
+    let cats = categorical_fixture(3);
+    let labels = cats.labels().unwrap().to_vec();
+    let nums = numeric_blobs(&labels, 4, 0.0);
+    let mixed = MixedDataset::new(&cats, &nums);
+
+    fn check<D: lshclust::SimInput + ?Sized>(lsh: Lsh, data: &D, label: &str) {
+        for bad in [f64::NAN, -1.0] {
+            let sim = Sim::new(SimSpec::new(bad).lsh(lsh));
+            for err in [sim.dedup(data).unwrap_err(), sim.join(data).unwrap_err()] {
+                assert!(
+                    matches!(err, SpecError::InvalidThreshold { .. }),
+                    "{label} threshold {bad}: {err}"
+                );
+            }
+        }
+        let sim = Sim::new(SimSpec::new(0.0).lsh(lsh));
+        assert!(sim.dedup(data).is_ok(), "{label}: threshold 0 dedup");
+        assert!(sim.join(data).is_ok(), "{label}: threshold 0 join");
+    }
+
+    check(GENEROUS_MINHASH, &cats, "categorical");
+    check(GENEROUS_SIMHASH, &nums, "numeric");
+    check(GENEROUS_UNION, &mixed, "mixed");
+}
+
 fn numeric_model(k: usize, seed: u64) -> FittedModel {
     let labels = categorical_fixture(seed).labels().unwrap().to_vec();
-    let data = numeric_blobs(&labels, 4);
+    let data = numeric_blobs(&labels, 4, 0.0);
     let spec = ClusterSpec::new(k)
         .lsh(Lsh::SimHash { bands: 8, rows: 2 })
         .seed(seed);
