@@ -1,6 +1,8 @@
-//! Ablation experiment: the design choices DESIGN.md §5 calls out, plus the
-//! comparisons the paper's related-work section (§II) discusses but never
-//! runs — MinHash shortlists vs canopy shortlists vs mini-batch updates.
+//! Ablation experiment: the framework's design choices (self-collision in
+//! the shortlist, bucket scans vs precomputed candidate lists, batch vs
+//! online mode updates), plus the comparisons the paper's related-work
+//! section (§II) discusses but never runs — MinHash shortlists vs canopy
+//! shortlists vs mini-batch updates.
 //!
 //! Everything is held fixed (dataset, initial centroids, distance kernels,
 //! tie-breaks) except the single axis under study.
@@ -12,9 +14,9 @@ use lshclust_categorical::ClusterId;
 use lshclust_core::canopy::{Canopies, CanopyConfig, CanopyProvider};
 use lshclust_core::framework::{fit, CentroidModel, StopPolicy};
 use lshclust_core::mhkmodes::{KModesModel, MhKModes, MhKModesConfig};
+use lshclust_core::minibatch::{minibatch_mh_kmodes, MiniBatchParams};
 use lshclust_kmodes::assign::assign_all_full;
 use lshclust_kmodes::init::{initial_modes, InitMethod};
-use lshclust_kmodes::minibatch::{minibatch_kmodes, MiniBatchConfig};
 use lshclust_kmodes::{KModes, KModesConfig, UpdateRule};
 use lshclust_minhash::{Banding, QueryMode};
 use std::time::Instant;
@@ -112,17 +114,14 @@ pub fn run(settings: &Settings) -> crate::figures::Report {
 
     // --- orthogonal acceleration: mini-batch updates ----------------------
     {
-        let result = minibatch_kmodes(
-            &dataset,
-            &MiniBatchConfig::new(k)
-                .batch_size(256)
-                .n_steps(40)
-                .seed(seed),
-        );
+        // Full search per batch item: no LSH scheme, one thread.
+        let params = MiniBatchParams::new(256, 40);
+        let result =
+            minibatch_mh_kmodes(&dataset, k, InitMethod::RandomItems, seed, None, &params, 1);
         rows.push(Row {
             name: "Mini-batch K-Modes (Sculley-style, 40x256)".into(),
-            total_s: result.elapsed.as_secs_f64(),
-            iterations: format!("{} steps", result.n_steps),
+            total_s: result.summary.total_time().as_secs_f64(),
+            iterations: format!("{} steps", params.n_steps),
             avg_shortlist: k.to_string(),
             purity: quality_of(&result.assignments, &labels).purity,
         });

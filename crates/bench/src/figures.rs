@@ -217,7 +217,7 @@ pub fn table1(settings: &Settings) -> Report {
     report.section("table1", probability_table(1, &grid, settings));
     report.note(
         "paper's printed rows (b=100, s=0.001) and (b=100, s=0.01) disagree with its \
-         own formula 1-(1-s^r)^b; this table follows the formula (see EXPERIMENTS.md)",
+         own formula 1-(1-s^r)^b; this table follows the formula (see docs/RESULTS.md)",
     );
     report.note(
         "measured column: 200 MinHash trials on 400-element universes; '-' where \

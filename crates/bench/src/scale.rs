@@ -3,8 +3,8 @@
 //! The paper's synthetic experiments ran for hundreds of hours single-
 //! threaded; we preserve every *ratio* (items per cluster, attribute counts,
 //! rule fractions, banding parameters) and shrink item/cluster counts by a
-//! configurable factor (DESIGN.md §2). `--scale 1.0` reproduces the paper's
-//! exact sizes.
+//! configurable factor (docs/RESULTS.md records the paper's curves at 0.26).
+//! `--scale 1.0` reproduces the paper's exact sizes.
 
 use lshclust_minhash::Banding;
 

@@ -14,7 +14,7 @@ use std::hash::BuildHasher;
 ///
 /// Values are assigned dense ids in first-seen order, so a dictionary built
 /// from the same value stream is always identical — important for the
-/// workspace-wide determinism policy (DESIGN.md §7).
+/// workspace-wide determinism policy (docs/ARCHITECTURE.md § Determinism).
 ///
 /// Each value is stored once. The texts of all values lie back to back in
 /// one arena, in id order, with one end offset per value; an
@@ -211,15 +211,6 @@ impl Schema {
     #[inline]
     pub fn is_absent(&self, attr: AttrId, value: ValueId) -> bool {
         value == NOT_PRESENT || self.absent_values[attr.idx()] == Some(value)
-    }
-
-    /// Size of the largest attribute domain.
-    pub fn max_domain(&self) -> usize {
-        self.dictionaries
-            .iter()
-            .map(Dictionary::len)
-            .max()
-            .unwrap_or(0)
     }
 }
 
@@ -542,14 +533,5 @@ mod tests {
             let back: Schema = serde_json::from_str(&json).unwrap();
             prop_assert_eq!(serde_json::to_string(&back).unwrap(), json);
         }
-    }
-
-    #[test]
-    fn max_domain_tracks_largest_dictionary() {
-        let mut s = Schema::anonymous(2);
-        s.dictionary_mut(AttrId(0)).intern("a");
-        s.dictionary_mut(AttrId(1)).intern("a");
-        s.dictionary_mut(AttrId(1)).intern("b");
-        assert_eq!(s.max_domain(), 2);
     }
 }

@@ -120,11 +120,6 @@ impl Canopies {
         }
     }
 
-    /// Number of canopies.
-    pub fn n_canopies(&self) -> usize {
-        self.members.len()
-    }
-
     /// Canopy ids of `item`.
     pub fn canopies_of(&self, item: u32) -> &[u32] {
         let lo = self.item_offsets[item as usize];
@@ -242,11 +237,10 @@ mod tests {
     fn distinct_blobs_get_distinct_canopies() {
         let ds = blob_dataset(3, 5, 8);
         let canopies = Canopies::build(&ds, &CanopyConfig::new());
-        assert!(
-            canopies.n_canopies() >= 3,
-            "only {} canopies",
-            canopies.n_canopies()
-        );
+        let used: std::collections::BTreeSet<u32> = (0..ds.n_items() as u32)
+            .flat_map(|item| canopies.canopies_of(item).to_vec())
+            .collect();
+        assert!(used.len() >= 3, "only {} canopies", used.len());
         // Items of different blobs (Jaccard 0) never share a canopy.
         let a = canopies.canopies_of(0);
         let b = canopies.canopies_of(5);

@@ -26,7 +26,7 @@ use crate::mhkmeans::{SimHashIndex, VectorQueryScratch};
 use crate::sim::concat_band_keys;
 use lshclust_categorical::{ClusterId, PresentElements, Schema, ValueId};
 use lshclust_kmodes::kmeans::NumericDataset;
-use lshclust_minhash::hashfn::{FastSet, MixHashFamily};
+use lshclust_minhash::hashfn::MixHashFamily;
 use lshclust_minhash::index::{LshIndex, LshIndexBuilder, ShortlistScratch};
 use lshclust_minhash::signature::SignatureGenerator;
 use lshclust_minhash::Banding;
@@ -85,7 +85,7 @@ pub enum ModeQuery<'q> {
 pub struct CentroidIndex {
     k: usize,
     minhash: Option<MinHashPart>,
-    simhash: Option<SimHashIndex>,
+    simhash: Option<SimHashPart>,
 }
 
 #[derive(Clone)]
@@ -103,6 +103,14 @@ impl MinHashPart {
             index,
         }
     }
+}
+
+/// The SimHash side: the family hashes query vectors into the universe of
+/// the buckets.
+#[derive(Clone)]
+struct SimHashPart {
+    family: SimHashIndex,
+    index: LshIndex,
 }
 
 fn identity(k: usize) -> Vec<ClusterId> {
@@ -131,13 +139,12 @@ impl CentroidIndex {
             .simhash
             .zip(rows.means)
             .map(|((bands, bits), (dim, means))| {
-                SimHashIndex::build(
-                    &NumericDataset::new(dim, means.to_vec()),
-                    bands,
-                    bits,
-                    seed ^ salts.simhash,
-                    &identity(k),
-                )
+                let points = NumericDataset::new(dim, means.to_vec());
+                let family = SimHashIndex::new(&points, bands, bits, seed ^ salts.simhash);
+                let index = family
+                    .builder()
+                    .build_from_band_keys(family.band_keys(&points, 1), &identity(k));
+                SimHashPart { family, index }
             });
         Self {
             k,
@@ -171,15 +178,9 @@ impl CentroidIndex {
             .simhash
             .zip(simhash_keys)
             .map(|((bands, bits), (keys, mean))| {
-                SimHashIndex::from_band_keys(
-                    mean.len(),
-                    bands,
-                    bits,
-                    seed ^ salts.simhash,
-                    mean,
-                    keys,
-                    &identity(k),
-                )
+                let family = SimHashIndex::with_mean(bands, bits, seed ^ salts.simhash, mean);
+                let index = family.builder().build_from_band_keys(keys, &identity(k));
+                SimHashPart { family, index }
             });
         Self {
             k,
@@ -195,7 +196,9 @@ impl CentroidIndex {
 
     /// The SimHash family's stored band keys and centring mean.
     pub fn simhash_keys(&self) -> Option<(&[u64], &[f64])> {
-        self.simhash.as_ref().map(|ix| (ix.band_keys(), ix.mean()))
+        self.simhash
+            .as_ref()
+            .map(|part| (part.index.band_keys(), part.family.mean()))
     }
 
     /// Every centroid's band keys across both families, item-major, MinHash
@@ -209,11 +212,20 @@ impl CentroidIndex {
         (a + b, concat_band_keys(self.k, a, minhash, b, simhash))
     }
 
-    /// One query scratch (one per thread when queries fan out). It serves
-    /// any index over at most as many centroids as this one, so a caller
-    /// may keep one scratch across indexes.
+    /// One query scratch (one per thread when queries fan out), sized for
+    /// this index's families only. A caller may keep one scratch across
+    /// indexes while [`Self::fits`] holds.
     pub fn scratch(&self) -> IndexScratch {
-        IndexScratch::sized(self.k)
+        let k_if = |present: bool| if present { self.k } else { 0 };
+        IndexScratch::sized(k_if(self.minhash.is_some()), k_if(self.simhash.is_some()))
+    }
+
+    /// Whether `scratch` can serve this index's queries: it was sized for at
+    /// least this many centroids in each family the index has.
+    pub fn fits(&self, scratch: &IndexScratch) -> bool {
+        let (minhash, simhash) = scratch.sized_for;
+        (self.minhash.is_none() || minhash >= self.k)
+            && (self.simhash.is_none() || simhash >= self.k)
     }
 
     /// Writes the candidate clusters of a query into `scratch` and returns
@@ -234,7 +246,7 @@ impl CentroidIndex {
             minhash,
             vector,
             simhash,
-            seen,
+            ..
         } = scratch;
         // The MinHash probe's own cluster buffer doubles as the union.
         match (&self.minhash, modes) {
@@ -253,14 +265,15 @@ impl CentroidIndex {
             _ => minhash.clusters.clear(),
         }
         let out = &mut minhash.clusters;
-        if let (Some(index), Some(point)) = (&self.simhash, point) {
-            index.shortlist_for_vector_with(point, vector, simhash, seen);
+        if let (Some(part), Some(point)) = (&self.simhash, point) {
+            let query_keys = part.family.keys_into(point, vector);
+            part.index.shortlist_for_band_keys(query_keys, simhash);
             // SimHash candidates are already distinct; only MinHash ones
             // can repeat them, so skip the linear scan when there are none.
             if out.is_empty() {
-                out.extend_from_slice(simhash);
+                out.extend_from_slice(&simhash.clusters);
             } else {
-                for &c in simhash.iter() {
+                for &c in &simhash.clusters {
                     if !out.contains(&c) {
                         out.push(c);
                     }
@@ -271,34 +284,35 @@ impl CentroidIndex {
     }
 }
 
-/// Per-thread query scratch of a [`CentroidIndex`]: hashing buffers, the
-/// MinHash probe's dedup stamps and the SimHash probe's dedup set. The
-/// default value serves an index-free caller (it holds nothing).
+/// Per-thread query scratch of a [`CentroidIndex`]: hashing buffers and
+/// each family's dedup stamps. The default value serves an index-free
+/// caller (it holds nothing).
 pub struct IndexScratch {
     sig: Vec<u64>,
     keys: Vec<u64>,
     minhash: ShortlistScratch,
     vector: VectorQueryScratch,
-    simhash: Vec<ClusterId>,
-    seen: FastSet<u32>,
+    simhash: ShortlistScratch,
+    /// The centroid counts the MinHash and SimHash stamps are sized for.
+    sized_for: (usize, usize),
 }
 
 impl IndexScratch {
-    fn sized(minhash_k: usize) -> Self {
+    fn sized(minhash_k: usize, simhash_k: usize) -> Self {
         Self {
             sig: Vec::new(),
             keys: Vec::new(),
             minhash: ShortlistScratch::new(minhash_k, minhash_k),
             vector: VectorQueryScratch::default(),
-            simhash: Vec::new(),
-            seen: FastSet::default(),
+            simhash: ShortlistScratch::new(simhash_k, simhash_k),
+            sized_for: (minhash_k, simhash_k),
         }
     }
 }
 
 impl Default for IndexScratch {
     fn default() -> Self {
-        Self::sized(0)
+        Self::sized(0, 0)
     }
 }
 

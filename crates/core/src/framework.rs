@@ -188,11 +188,6 @@ impl ActivitySet {
         }
     }
 
-    /// Whether `cluster` is active.
-    pub fn is_active(&self, cluster: ClusterId) -> bool {
-        self.active[cluster.idx()]
-    }
-
     /// Number of active clusters.
     pub fn count(&self) -> usize {
         self.count
@@ -1044,7 +1039,7 @@ mod tests {
         set.mark(ClusterId(3));
         set.mark(ClusterId(3)); // idempotent
         assert_eq!(set.count(), 1);
-        assert!(set.is_active(ClusterId(3)));
+        assert!(set.any_active_in(&[ClusterId(3)]));
         assert!(set.any_active_in(&[ClusterId(1), ClusterId(3)]));
         assert!(!set.any_active_in(&[]));
         assert_eq!(set.to_clusters(), vec![3]);

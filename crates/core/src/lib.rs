@@ -9,10 +9,14 @@
 //!   clusterer that assigns an item to its most similar centroid) plus a
 //!   [`ShortlistProvider`] (any index that can turn an item into a small set
 //!   of candidate clusters) are driven to convergence by [`framework::fit`].
+//! * [`modality`] — what differs between categorical, numeric and mixed
+//!   inputs ([`modality::Modality`]), and the accelerated full fit written
+//!   once against it ([`modality::fit_full`]): the initial full assignment
+//!   pass, the item index, the shortlisted loop and the O(1)
+//!   cluster-reference maintenance. The mini-batch fit and the sharded
+//!   coordinator are written against the same trait.
 //! * [`mhkmodes`] — the paper's instantiation **MH-K-Modes**: K-Modes +
-//!   MinHash banding (Algorithm 2), including the initial full assignment
-//!   pass, index construction, per-iteration instrumentation and the O(1)
-//!   cluster-reference maintenance.
+//!   MinHash banding (Algorithm 2).
 //! * [`mhkmeans`] / [`mhkprototypes`] / [`streaming`] — the further-work
 //!   extensions: K-Means + SimHash for numeric data, K-Prototypes with a
 //!   MinHash∪SimHash union index for mixed data, and a one-pass streaming
@@ -46,11 +50,12 @@
 //! ```
 //!
 //! The per-algorithm configs below (`MhKModesConfig`, `MhKMeansConfig`,
-//! `MhKPrototypesConfig`) are the thin internals the facade lowers onto.
-//! They remain public for controlled experiments that need capabilities the
-//! facade deliberately does not expose (e.g. `fit_from` with explicitly
-//! shared initial modes, as the bench harness uses), but new code should go
-//! through the facade; expect these types to narrow over time.
+//! `MhKPrototypesConfig`) are thin lowerings onto the same generic fits the
+//! facade dispatches to. They remain public for controlled experiments that
+//! need capabilities the facade deliberately does not expose (e.g.
+//! `fit_from` with explicitly shared initial modes, as the bench harness
+//! uses), but new code should go through the facade; expect these types to
+//! narrow over time.
 //!
 //! ```
 //! use lshclust_categorical::DatasetBuilder;
@@ -82,6 +87,7 @@ pub mod mhkmeans;
 pub mod mhkmodes;
 pub mod mhkprototypes;
 pub mod minibatch;
+pub mod modality;
 pub mod parallel;
 pub mod shard;
 pub mod sim;

@@ -6,19 +6,24 @@
 //!
 //! * the [`CentroidModel`] becomes K-Means (squared-Euclidean distances,
 //!   mean centroids) over a [`NumericDataset`],
-//! * the [`ShortlistProvider`] becomes a [`SimHashIndex`] — random-hyperplane
-//!   LSH, whose collision probability is monotone in cosine similarity.
+//! * the item index hashes with [`SimHashIndex`] — random-hyperplane LSH,
+//!   whose collision probability is monotone in cosine similarity — into
+//!   the same bucket store as MinHash keys.
 //!
 //! The driver, instrumentation, and convergence logic are *identical* to
-//! MH-K-Modes, which is the point: the framework is algorithm-agnostic.
+//! MH-K-Modes ([`crate::modality::fit_full`]), which is the point: the
+//! framework is algorithm-agnostic.
 
-use crate::framework::{self, ActivitySet, CentroidModel, ShortlistProvider, StopPolicy};
+use crate::centroid_index::IndexScheme;
+use crate::framework::{ActivitySet, CentroidModel, StopPolicy};
+use crate::modality::{fit_full, FitParams};
 use lshclust_categorical::ClusterId;
 use lshclust_kmodes::kmeans::{kmeans_initial_centroids, sq_euclidean, KMeansInit, NumericDataset};
 use lshclust_kmodes::modes::group_by_cluster;
 use lshclust_kmodes::stats::RunSummary;
-use lshclust_minhash::hashfn::{FastMap, FastSet};
+use lshclust_minhash::index::LshIndexBuilder;
 use lshclust_minhash::simhash::SimHash;
+use lshclust_minhash::Banding;
 use std::time::Instant;
 
 /// The K-Means instantiation of [`CentroidModel`].
@@ -38,6 +43,11 @@ impl<'a> KMeansModel<'a> {
     /// The current centroids.
     pub fn centroids(&self) -> &[f64] {
         &self.centroids
+    }
+
+    /// Consumes the model, returning the centroids.
+    pub fn into_centroids(self) -> Vec<f64> {
+        self.centroids
     }
 
     /// The wrapped dataset (at its own lifetime; see
@@ -196,84 +206,35 @@ impl CentroidModel for KMeansModel<'_> {
     }
 }
 
-/// SimHash LSH index over numeric items, with per-item cluster references —
-/// the numeric twin of `lshclust_minhash::LshIndex`.
-///
-/// The hyperplane family and the centring vector are retained so unseen
-/// query vectors can be hashed into the same bucket universe
-/// ([`Self::shortlist_for_vector_with`], the SimHash side of
-/// [`crate::centroid_index::CentroidIndex`]).
+/// The SimHash hashing of an LSH index over numeric vectors: the
+/// random-hyperplane family and the centring mean. The buckets are an
+/// [`LshIndex`](lshclust_minhash::index::LshIndex) filled from the band
+/// keys this hashes, exactly as MinHash
+/// keys fill one ([`Self::builder`]); the family is kept so that unseen
+/// query vectors hash into the same bucket universe ([`Self::keys_into`],
+/// the SimHash side of [`crate::centroid_index::CentroidIndex`]).
 #[derive(Clone)]
 pub struct SimHashIndex {
-    /// `n_items × bands` band keys, item-major.
-    band_keys: Vec<u64>,
-    buckets: Vec<FastMap<u64, Vec<u32>>>,
-    cluster_of: Vec<ClusterId>,
+    sim: SimHash,
+    /// The mean vector subtracted before hashing (see [`Self::new`]).
+    mean: Vec<f64>,
     bands: u32,
     rows: u32,
-    /// The hyperplane family used at build time (needed to hash queries).
-    sim: SimHash,
-    /// The mean vector subtracted before hashing (see [`Self::build`]).
-    mean: Vec<f64>,
 }
 
 impl SimHashIndex {
-    /// Hashes every vector with `n_bits = bands × rows` hyperplanes and
-    /// buckets the band keys.
+    /// The family for `data`: `bands × rows` hyperplanes drawn from `seed`,
+    /// centred on the mean of all items (summed serially, since float
+    /// addition order matters).
     ///
     /// Vectors are **mean-centred** before hashing: random-hyperplane LSH
     /// discriminates by *angle from the origin*, and un-centred data (e.g.
     /// all-positive features) collapses into a narrow cone where everything
     /// collides. Centring puts the hyperplane pencil through the data
     /// centroid, spreading angles over the full sphere.
-    pub fn build(
-        data: &NumericDataset,
-        bands: u32,
-        rows: u32,
-        seed: u64,
-        initial: &[ClusterId],
-    ) -> Self {
-        Self::build_parallel(data, bands, rows, seed, initial, 1)
-    }
-
-    /// Like [`Self::build`], with the per-item hashing (centring, signature,
-    /// band keys) fanned over `threads` workers. The centring mean is summed
-    /// serially (float addition order matters) and the bucket fill walks
-    /// items in ascending order, so the result is **byte-identical** to the
-    /// serial build at any thread count.
-    pub fn build_parallel(
-        data: &NumericDataset,
-        bands: u32,
-        rows: u32,
-        seed: u64,
-        initial: &[ClusterId],
-        threads: usize,
-    ) -> Self {
-        assert_eq!(initial.len(), data.n_items());
-        let (band_keys, mean) = Self::hash_band_keys(data, bands, rows, seed, threads);
-        Self::from_band_keys(data.dim(), bands, rows, seed, mean, band_keys, initial)
-    }
-
-    /// The hashing half of [`Self::build_parallel`] on its own: the serial
-    /// centring mean over **all** items (float addition order matters) and
-    /// every item's band keys, item-major (`n_items × bands`), fanned over
-    /// `threads` workers. Feeding the buffer back through
-    /// [`Self::from_band_keys`] is byte-identical to [`Self::build`]; the
-    /// shard coordinator (`crate::shard`) uses the same buffer to deal each
-    /// shard its items' keys, so every shard hashes against the **global**
-    /// mean.
-    pub fn hash_band_keys(
-        data: &NumericDataset,
-        bands: u32,
-        rows: u32,
-        seed: u64,
-        threads: usize,
-    ) -> (Vec<u64>, Vec<f64>) {
-        let n_bits = bands as usize * rows as usize;
-        let dim = data.dim();
-        let sim = SimHash::new(n_bits, dim, seed);
+    pub fn new(data: &NumericDataset, bands: u32, rows: u32, seed: u64) -> Self {
         let n = data.n_items();
-        let mut mean = vec![0.0f64; dim];
+        let mut mean = vec![0.0f64; data.dim()];
         for item in 0..n {
             for (m, &x) in mean.iter_mut().zip(data.row(item)) {
                 *m += x;
@@ -284,135 +245,53 @@ impl SimHashIndex {
                 *m /= n as f64;
             }
         }
-        // Per-item hashing fills the flat item-major key buffer directly —
-        // one contiguous slice per worker, no per-item allocation — through
-        // the shared chunking scaffold (inline at `threads <= 1`).
-        let n_bands = bands as usize;
-        let mut band_keys = vec![0u64; n * n_bands];
-        crate::parallel::fill_chunks(&mut band_keys, n, n_bands, threads, |start, slice| {
-            let mut centred = vec![0.0f64; dim];
-            let mut sig = Vec::new();
-            let mut keys = Vec::new();
-            for (offset, out) in slice.chunks_mut(n_bands).enumerate() {
-                for ((c, &x), m) in centred.iter_mut().zip(data.row(start + offset)).zip(&mean) {
-                    *c = x - m;
-                }
-                sim.signature_into(&centred, &mut sig);
-                sim.band_keys_into(&sig, bands, rows, &mut keys);
-                out.copy_from_slice(&keys);
-            }
-        });
-        (band_keys, mean)
+        Self::with_mean(bands, rows, seed, mean)
     }
 
-    /// Builds the index from **precomputed** band keys and centring mean —
-    /// the bucket fill of [`Self::build_parallel`] on its own. Because the
-    /// fill walks items in ascending order either way, the resulting index
-    /// is byte-identical to a full build over the same vectors. Shard
-    /// workers use this to own a local index over only their items' keys.
-    pub fn from_band_keys(
-        dim: usize,
-        bands: u32,
-        rows: u32,
-        seed: u64,
-        mean: Vec<f64>,
-        band_keys: Vec<u64>,
-        initial: &[ClusterId],
-    ) -> Self {
-        let n_bands = (bands as usize).max(1);
-        assert!(
-            band_keys.len().is_multiple_of(n_bands),
-            "band-key buffer is not item-major n_items × bands"
-        );
-        let n = band_keys.len() / n_bands;
-        assert_eq!(initial.len(), n, "one initial cluster per item required");
-        let sim = SimHash::new(bands as usize * rows as usize, dim, seed);
-        let n_bands = bands as usize;
-        // Bucket fill stays serial in item order (byte-identical index).
-        let mut buckets: Vec<FastMap<u64, Vec<u32>>> =
-            (0..n_bands).map(|_| FastMap::default()).collect();
-        for item in 0..n {
-            for (band, bucket) in buckets.iter_mut().enumerate() {
-                let key = band_keys[item * n_bands + band];
-                bucket.entry(key).or_default().push(item as u32);
-            }
-        }
+    /// The family around a given centring mean (a stored index's): the
+    /// hyperplanes regenerate from `seed`, so queries hash as they did when
+    /// the index was built.
+    pub fn with_mean(bands: u32, rows: u32, seed: u64, mean: Vec<f64>) -> Self {
         Self {
-            band_keys,
-            buckets,
-            cluster_of: initial.to_vec(),
+            sim: SimHash::new(bands as usize * rows as usize, mean.len(), seed),
+            mean,
             bands,
             rows,
-            sim,
-            mean,
         }
     }
 
-    /// The flat item-major band-key buffer (`n_items × bands`) the index was
-    /// built from. Together with [`Self::mean`] this is the index's
-    /// serialized form: [`Self::from_band_keys`] refills the buckets from it
-    /// byte-identically without redoing a single hyperplane projection — the
-    /// copy-instead-of-hash load path of `lshclust`'s v2 binary model
-    /// envelope.
-    pub fn band_keys(&self) -> &[u64] {
-        &self.band_keys
-    }
-
-    /// The centring mean subtracted before hashing (see [`Self::build`]).
-    /// Persisted alongside [`Self::band_keys`] so a reloaded index centres
-    /// queries exactly as the original did.
+    /// The centring mean subtracted before hashing; a stored index keeps it
+    /// next to its band keys so a reloaded index centres queries the same way.
     pub fn mean(&self) -> &[f64] {
         &self.mean
     }
 
-    /// Current cluster reference of `item`.
-    pub fn cluster_of(&self, item: u32) -> ClusterId {
-        self.cluster_of[item as usize]
+    /// The builder that fills an item index from this family's band keys.
+    pub fn builder(&self) -> LshIndexBuilder {
+        LshIndexBuilder::new(Banding::new(self.bands, self.rows))
     }
 
-    /// O(1) cluster-reference update.
-    pub fn set_cluster(&mut self, item: u32, cluster: ClusterId) {
-        self.cluster_of[item as usize] = cluster;
-    }
-
-    /// Overwrites all cluster references at once (used by shard workers
-    /// after a fresh local assignment pass).
-    pub fn set_all_clusters(&mut self, clusters: &[ClusterId]) {
-        assert_eq!(clusters.len(), self.cluster_of.len());
-        self.cluster_of.copy_from_slice(clusters);
-    }
-
-    /// Calls `f` once per bucket: `(band, band key, member item ids)`.
-    /// Members appear in ascending item order; the bucket order within a
-    /// band is unspecified. The raw view shard workers digest into per-key
-    /// cluster sets (`crate::shard`).
-    pub fn for_each_bucket<F: FnMut(usize, u64, &[u32])>(&self, mut f: F) {
-        for (band, map) in self.buckets.iter().enumerate() {
-            for (&key, members) in map {
-                f(band, key, members);
+    /// Every item's band keys, item-major (`n_items × bands`), hashed over
+    /// `threads` workers — byte-identical at any thread count, since each
+    /// item's keys depend only on the item and the family.
+    pub fn band_keys(&self, data: &NumericDataset, threads: usize) -> Vec<u64> {
+        let n = data.n_items();
+        let n_bands = self.bands as usize;
+        // Per-item hashing fills the flat item-major key buffer directly —
+        // one contiguous slice per worker, no per-item allocation.
+        let mut band_keys = vec![0u64; n * n_bands];
+        crate::parallel::fill_chunks(&mut band_keys, n, n_bands, threads, |start, slice| {
+            let mut scratch = VectorQueryScratch::default();
+            for (offset, out) in slice.chunks_mut(n_bands).enumerate() {
+                out.copy_from_slice(self.keys_into(data.row(start + offset), &mut scratch));
             }
-        }
+        });
+        band_keys
     }
 
-    /// Collects the distinct clusters of items colliding with `item`.
-    pub fn shortlist_into(&self, item: u32, out: &mut Vec<ClusterId>, seen: &mut FastSet<u32>) {
-        let b = self.bands as usize;
-        let keys = &self.band_keys[item as usize * b..(item as usize + 1) * b];
-        self.shortlist_for_keys(keys, out, seen);
-    }
-
-    /// Collects the distinct clusters of indexed items colliding with an
-    /// **unseen vector**: the vector is centred with the index's stored mean,
-    /// hashed by the same hyperplane family, and its band buckets are probed
-    /// — the query of a [`crate::centroid_index::CentroidIndex`], with
-    /// reused hashing buffers.
-    pub fn shortlist_for_vector_with(
-        &self,
-        v: &[f64],
-        scratch: &mut VectorQueryScratch,
-        out: &mut Vec<ClusterId>,
-        seen: &mut FastSet<u32>,
-    ) {
+    /// Hashes one vector — centred with the stored mean — into its band
+    /// keys, reusing `scratch`'s buffers.
+    pub fn keys_into<'s>(&self, v: &[f64], scratch: &'s mut VectorQueryScratch) -> &'s [u64] {
         scratch.centred.clear();
         scratch
             .centred
@@ -420,71 +299,16 @@ impl SimHashIndex {
         self.sim.signature_into(&scratch.centred, &mut scratch.sig);
         self.sim
             .band_keys_into(&scratch.sig, self.bands, self.rows, &mut scratch.keys);
-        self.shortlist_for_keys(&scratch.keys, out, seen);
-    }
-
-    fn shortlist_for_keys(&self, keys: &[u64], out: &mut Vec<ClusterId>, seen: &mut FastSet<u32>) {
-        out.clear();
-        seen.clear();
-        for (band, key) in keys.iter().enumerate() {
-            if let Some(members) = self.buckets[band].get(key) {
-                for &other in members {
-                    let c = self.cluster_of[other as usize];
-                    if seen.insert(c.0) {
-                        out.push(c);
-                    }
-                }
-            }
-        }
+        &scratch.keys
     }
 }
 
-/// Reusable hashing buffers for [`SimHashIndex::shortlist_for_vector_with`].
+/// Reusable hashing buffers for [`SimHashIndex::keys_into`].
 #[derive(Default)]
 pub struct VectorQueryScratch {
     centred: Vec<f64>,
     sig: Vec<u64>,
     keys: Vec<u64>,
-}
-
-/// [`ShortlistProvider`] wrapper around [`SimHashIndex`].
-pub struct SimHashProvider {
-    index: SimHashIndex,
-    seen: FastSet<u32>,
-}
-
-impl SimHashProvider {
-    /// Wraps a built index.
-    pub fn new(index: SimHashIndex) -> Self {
-        Self {
-            index,
-            seen: FastSet::default(),
-        }
-    }
-}
-
-impl ShortlistProvider for SimHashProvider {
-    fn shortlist(&mut self, item: u32, out: &mut Vec<ClusterId>) {
-        // `shortlist_into` clears `out` itself, so the candidates land in the
-        // caller's buffer directly — no intermediate copy.
-        self.index.shortlist_into(item, out, &mut self.seen);
-    }
-
-    fn record_assignment(&mut self, item: u32, cluster: ClusterId) {
-        self.index.set_cluster(item, cluster);
-    }
-}
-
-impl crate::parallel::SyncShortlistProvider for SimHashProvider {
-    type Scratch = FastSet<u32>;
-
-    fn make_scratch(&self) -> FastSet<u32> {
-        FastSet::default()
-    }
-
-    fn shortlist_into(&self, item: u32, seen: &mut FastSet<u32>, out: &mut Vec<ClusterId>) {
-        self.index.shortlist_into(item, out, seen);
-    }
 }
 
 /// Configuration for MH-K-Means.
@@ -559,71 +383,38 @@ pub struct MhKMeansResult {
     pub summary: RunSummary,
 }
 
-/// Runs LSH-accelerated K-Means.
+/// Runs LSH-accelerated K-Means: the accelerated full fit of
+/// [`fit_full`] over SimHash keys.
 pub fn mh_kmeans(data: &NumericDataset, config: &MhKMeansConfig) -> MhKMeansResult {
     let setup_start = Instant::now();
     let centroids = kmeans_initial_centroids(data, config.k, config.init, config.seed);
-    mh_kmeans_from(data, config, centroids, setup_start)
-}
-
-/// Runs LSH-accelerated K-Means from explicit initial centroids (`k × dim`,
-/// row-major) — the warm-start path used by `lshclust`'s
-/// `ClusterSpec::warm_start`. `setup_start` should be the instant
-/// initialisation began so setup time is complete.
-pub fn mh_kmeans_from(
-    data: &NumericDataset,
-    config: &MhKMeansConfig,
-    centroids: Vec<f64>,
-    setup_start: Instant,
-) -> MhKMeansResult {
-    let mut model = KMeansModel::new(data, centroids, config.k);
-    // Initial full assignment, mirroring MH-K-Modes step 2 — fanned over
-    // `config.threads` like the index hashing below (both byte-identical to
-    // their serial forms).
-    let mut assignments = vec![ClusterId(0); data.n_items()];
-    crate::parallel::assign_full_parallel(&model, &mut assignments, config.threads);
-    model.update_centroids_parallel(&assignments, config.threads);
-    let index = SimHashIndex::build_parallel(
-        data,
-        config.bands,
-        config.rows,
-        config.seed,
-        &assignments,
-        config.threads,
-    );
-    let mut provider = SimHashProvider::new(index);
-    let setup = setup_start.elapsed();
-    let run = if config.threads <= 1 {
-        framework::fit(
-            &mut model,
-            &mut provider,
-            assignments,
-            setup,
-            &config.stop,
-            config.closures,
-        )
-    } else {
-        crate::parallel::parallel_fit(
-            &mut model,
-            &mut provider,
-            assignments,
-            setup,
-            &config.stop,
-            config.threads,
-            config.closures,
-            config.interleaved,
-        )
+    let scheme = IndexScheme {
+        minhash: None,
+        simhash: Some((config.bands, config.rows)),
     };
+    let fit = fit_full(
+        data,
+        &FitParams {
+            stop: config.stop,
+            threads: config.threads,
+            closures: config.closures,
+            interleaved: config.interleaved,
+            ..FitParams::new(config.k, scheme, config.seed)
+        },
+        centroids,
+        setup_start,
+    );
     MhKMeansResult {
-        assignments: run.assignments,
-        centroids: model.centroids.clone(),
-        summary: run.summary,
+        assignments: fit.assignments,
+        centroids: fit.centroids,
+        summary: fit.summary,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lshclust_minhash::index::LshIndex;
 
     /// `groups` Gaussian-ish blobs on a circle of radius 10.
     fn blob_data(groups: usize, per_group: usize) -> NumericDataset {
@@ -674,11 +465,25 @@ mod tests {
         assert_eq!(a.centroids, b.centroids);
     }
 
+    /// An item index over `data`'s SimHash keys.
+    fn simhash_index(
+        data: &NumericDataset,
+        bands: u32,
+        rows: u32,
+        seed: u64,
+        initial: &[ClusterId],
+    ) -> LshIndex {
+        let family = SimHashIndex::new(data, bands, rows, seed);
+        family
+            .builder()
+            .build_from_band_keys(family.band_keys(data, 1), initial)
+    }
+
     #[test]
     fn simhash_index_cluster_refs() {
         let data = blob_data(2, 3);
         let initial: Vec<ClusterId> = (0..6).map(|i| ClusterId(i / 3)).collect();
-        let mut index = SimHashIndex::build(&data, 4, 2, 0, &initial);
+        let mut index = simhash_index(&data, 4, 2, 0, &initial);
         assert_eq!(index.cluster_of(4), ClusterId(1));
         index.set_cluster(4, ClusterId(0));
         assert_eq!(index.cluster_of(4), ClusterId(0));
@@ -688,14 +493,14 @@ mod tests {
     fn shortlist_contains_own_cluster() {
         let data = blob_data(2, 4);
         let initial: Vec<ClusterId> = (0..8).map(|i| ClusterId(i / 4)).collect();
-        let index = SimHashIndex::build(&data, 6, 2, 1, &initial);
-        let mut out = Vec::new();
-        let mut seen = FastSet::default();
+        let index = simhash_index(&data, 6, 2, 1, &initial);
+        let mut scratch = index.make_scratch(2);
         for item in 0..8u32 {
-            index.shortlist_into(item, &mut out, &mut seen);
+            index.shortlist(item, &mut scratch, false);
             assert!(
-                out.contains(&index.cluster_of(item)),
-                "item {item}: {out:?}"
+                scratch.clusters.contains(&index.cluster_of(item)),
+                "item {item}: {:?}",
+                scratch.clusters
             );
         }
     }

@@ -11,15 +11,20 @@
 //! 4. iterate: shortlist → restricted assignment → O(1) reference update on
 //!    every move → mode recomputation, until no item moves or the cost stops
 //!    improving.
+//!
+//! Steps 2–4 are [`crate::modality::fit_full`], the full fit every modality
+//! shares; this module holds the K-Modes model and the MinHash provider.
 
-use crate::framework::{self, ActivitySet, CentroidModel, ShortlistProvider, StopPolicy};
+use crate::centroid_index::IndexScheme;
+use crate::framework::{ActivitySet, CentroidModel, ShortlistProvider, StopPolicy};
+use crate::modality::{fit_full, FitParams, FitResult};
 use lshclust_categorical::{ClusterId, Dataset, ValueId};
 use lshclust_kmodes::assign::{best_cluster_among, best_cluster_full};
 use lshclust_kmodes::cost::total_cost;
 use lshclust_kmodes::init::{initial_modes, InitMethod};
 use lshclust_kmodes::modes::{group_by_cluster, Modes};
 use lshclust_kmodes::stats::RunSummary;
-use lshclust_minhash::index::{IndexStats, LshIndex, LshIndexBuilder, ShortlistScratch};
+use lshclust_minhash::index::{IndexStats, LshIndex, ShortlistScratch};
 use lshclust_minhash::{Banding, QueryMode};
 use std::time::Instant;
 
@@ -126,6 +131,23 @@ impl MhKModesConfig {
     pub fn interleaved(mut self, yes: bool) -> Self {
         self.interleaved = yes;
         self
+    }
+
+    /// This config as the modality-generic fits read it.
+    pub(crate) fn lower(&self) -> FitParams {
+        let scheme = IndexScheme {
+            minhash: Some(self.banding),
+            simhash: None,
+        };
+        FitParams {
+            stop: self.stop,
+            query_mode: self.query_mode,
+            include_self: self.include_self,
+            threads: self.threads,
+            closures: self.closures,
+            interleaved: self.interleaved,
+            ..FitParams::new(self.k, scheme, self.seed)
+        }
     }
 }
 
@@ -253,7 +275,8 @@ impl CentroidModel for KModesModel<'_> {
     }
 }
 
-/// The MinHash instantiation of [`ShortlistProvider`].
+/// The [`ShortlistProvider`] over one [`LshIndex`] — MinHash keys in the
+/// paper's instantiation, SimHash keys for numeric items.
 pub struct MinHashProvider {
     index: LshIndex,
     scratch: ShortlistScratch,
@@ -276,11 +299,6 @@ impl MinHashProvider {
     /// Read access to the wrapped index.
     pub fn index(&self) -> &LshIndex {
         &self.index
-    }
-
-    /// Consumes the provider, returning the index.
-    pub fn into_index(self) -> LshIndex {
-        self.index
     }
 }
 
@@ -331,6 +349,17 @@ pub struct MhKModesResult {
     pub index_stats: IndexStats,
 }
 
+impl From<FitResult<Modes>> for MhKModesResult {
+    fn from(fit: FitResult<Modes>) -> Self {
+        Self {
+            assignments: fit.assignments,
+            modes: fit.centroids,
+            summary: fit.summary,
+            index_stats: fit.index_stats,
+        }
+    }
+}
+
 impl MhKModes {
     /// Creates an estimator from a configuration.
     pub fn new(config: MhKModesConfig) -> Self {
@@ -350,70 +379,16 @@ impl MhKModes {
         self.fit_from(dataset, modes, setup_start)
     }
 
-    /// Runs MH-K-Modes from explicit initial modes. `setup_start` should be
-    /// the instant initialisation began, so that setup time is complete.
+    /// Runs MH-K-Modes from explicit initial modes: the accelerated full
+    /// fit of [`fit_full`] over MinHash keys. `setup_start` should be the
+    /// instant initialisation began, so that setup time is complete.
     pub fn fit_from(
         &self,
         dataset: &Dataset,
         modes: Modes,
         setup_start: Instant,
     ) -> MhKModesResult {
-        let cfg = &self.config;
-        assert_eq!(modes.k(), cfg.k, "initial modes disagree with configured k");
-        let n = dataset.n_items();
-
-        // Step 2: initial full assignment over all k clusters — fanned over
-        // `cfg.threads` (byte-identical to the serial pass; setup was the
-        // serial bottleneck once the iterations parallelised).
-        let mut assignments = vec![ClusterId(0); n];
-        let mut model = KModesModel::new(dataset, modes);
-        crate::parallel::assign_full_parallel(&model, &mut assignments, cfg.threads);
-        // Refresh modes once so the first shortlisted pass works against
-        // up-to-date centroids (equivalent to the tail of a baseline
-        // iteration; counted in setup).
-        model.update_centroids_parallel(&assignments, cfg.threads);
-
-        // Step 3: MinHash every item; bucket entries reference the cluster
-        // each item was just assigned to. Hashing fans over `cfg.threads`;
-        // the bucket fill stays serial in item order (byte-identical index).
-        let builder = LshIndexBuilder::new(cfg.banding)
-            .seed(cfg.seed ^ 0x4d48_4b4d) // decorrelate from init sampling
-            .mode(cfg.query_mode);
-        let index =
-            crate::parallel::build_lsh_index_parallel(&builder, dataset, &assignments, cfg.threads);
-        let index_stats = index.stats();
-        let mut provider = MinHashProvider::new(index, cfg.k, cfg.include_self);
-        let setup = setup_start.elapsed();
-
-        // Step 4+: shortlisted iterations.
-        let run = if cfg.threads <= 1 {
-            framework::fit(
-                &mut model,
-                &mut provider,
-                assignments,
-                setup,
-                &cfg.stop,
-                cfg.closures,
-            )
-        } else {
-            crate::parallel::parallel_fit(
-                &mut model,
-                &mut provider,
-                assignments,
-                setup,
-                &cfg.stop,
-                cfg.threads,
-                cfg.closures,
-                cfg.interleaved,
-            )
-        };
-
-        MhKModesResult {
-            assignments: run.assignments,
-            modes: model.into_modes(),
-            summary: run.summary,
-            index_stats,
-        }
+        fit_full(dataset, &self.config.lower(), modes, setup_start).into()
     }
 }
 

@@ -11,16 +11,15 @@
 //!   similar, so the shortlist covers clusters that are close in either
 //!   space.
 //!
-//! The driver is the unchanged [`crate::framework::fit`].
+//! The fit loop is the unchanged [`crate::modality::fit_full`].
 
-use crate::framework::{self, ActivitySet, CentroidModel, ShortlistProvider, StopPolicy};
-use crate::mhkmeans::{SimHashIndex, SimHashProvider};
-use crate::mhkmodes::MinHashProvider;
+use crate::centroid_index::IndexScheme;
+use crate::framework::{ActivitySet, CentroidModel, ShortlistProvider, StopPolicy};
+use crate::modality::{fit_full, FitParams};
 use lshclust_categorical::{ClusterId, ValueId};
 use lshclust_kmodes::kprototypes::{MixedDataset, Prototypes};
 use lshclust_kmodes::modes::{group_by_cluster, Modes};
 use lshclust_kmodes::stats::RunSummary;
-use lshclust_minhash::index::LshIndexBuilder;
 use lshclust_minhash::Banding;
 use std::time::Instant;
 
@@ -342,7 +341,8 @@ pub struct MhKPrototypesResult {
     pub summary: RunSummary,
 }
 
-/// Runs LSH-accelerated K-Prototypes on mixed data.
+/// Runs LSH-accelerated K-Prototypes on mixed data: the accelerated full
+/// fit of [`fit_full`] over the union of a MinHash and a SimHash item index.
 pub fn mh_kprototypes(
     data: &MixedDataset<'_>,
     config: &MhKPrototypesConfig,
@@ -350,78 +350,27 @@ pub fn mh_kprototypes(
     let setup_start = Instant::now();
     let picks = lshclust_kmodes::init::sample_distinct_items(data.n_items(), config.k, config.seed);
     let prototypes = Prototypes::from_items(data, &picks);
-    mh_kprototypes_from(data, config, prototypes, setup_start)
-}
-
-/// Runs LSH-accelerated K-Prototypes from explicit initial prototypes — the
-/// warm-start path used by `lshclust`'s `ClusterSpec::warm_start`.
-pub fn mh_kprototypes_from(
-    data: &MixedDataset<'_>,
-    config: &MhKPrototypesConfig,
-    prototypes: Prototypes,
-    setup_start: Instant,
-) -> MhKPrototypesResult {
-    assert_eq!(
-        prototypes.k(),
-        config.k,
-        "initial prototypes disagree with k"
-    );
-    let mut model = KPrototypesModel::new(data, prototypes, config.gamma);
-
-    // Initial full assignment — fanned over `config.threads`, byte-identical
-    // to the serial pass.
-    let mut assignments = vec![ClusterId(0); data.n_items()];
-    crate::parallel::assign_full_parallel(&model, &mut assignments, config.threads);
-    model.update_centroids_parallel(&assignments, config.threads);
-
-    // One index per modality, sharing cluster references through the union;
-    // item hashing fans over the threads on both sides.
-    let minhash_builder = LshIndexBuilder::new(config.banding).seed(config.seed ^ 0x6d68_6b70);
-    let minhash_index = crate::parallel::build_lsh_index_parallel(
-        &minhash_builder,
-        data.categorical,
-        &assignments,
-        config.threads,
-    );
-    let simhash_index = SimHashIndex::build_parallel(
-        data.numeric,
-        config.sim_bands,
-        config.sim_rows,
-        config.seed ^ 0x7368_6b70,
-        &assignments,
-        config.threads,
-    );
-    let mut provider = UnionProvider::new(
-        MinHashProvider::new(minhash_index, config.k, true),
-        SimHashProvider::new(simhash_index),
-    );
-    let setup = setup_start.elapsed();
-
-    let run = if config.threads <= 1 {
-        framework::fit(
-            &mut model,
-            &mut provider,
-            assignments,
-            setup,
-            &config.stop,
-            config.closures,
-        )
-    } else {
-        crate::parallel::parallel_fit(
-            &mut model,
-            &mut provider,
-            assignments,
-            setup,
-            &config.stop,
-            config.threads,
-            config.closures,
-            config.interleaved,
-        )
+    let scheme = IndexScheme {
+        minhash: Some(config.banding),
+        simhash: Some((config.sim_bands, config.sim_rows)),
     };
+    let fit = fit_full(
+        data,
+        &FitParams {
+            stop: config.stop,
+            threads: config.threads,
+            closures: config.closures,
+            interleaved: config.interleaved,
+            gamma: config.gamma,
+            ..FitParams::new(config.k, scheme, config.seed)
+        },
+        prototypes,
+        setup_start,
+    );
     MhKPrototypesResult {
-        assignments: run.assignments,
-        prototypes: model.prototypes,
-        summary: run.summary,
+        assignments: fit.assignments,
+        prototypes: fit.centroids,
+        summary: fit.summary,
     }
 }
 

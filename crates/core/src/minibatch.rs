@@ -15,11 +15,12 @@
 //! centroids (stale buckets would silently degrade the shortlist — the
 //! LSH-survey motivation for keeping indexes fresh).
 //!
-//! One deterministic driver serves all three modalities:
+//! One deterministic engine ([`minibatch_fit`]) serves all three
+//! modalities, with or without an LSH scheme:
 //!
-//! 1. sample the batch serially from one seeded RNG stream (the same stream
-//!    as the `lshclust_kmodes::minibatch` baseline, so full-search and
-//!    shortlisted runs draw identical batches at equal seeds),
+//! 1. sample the batch serially from one seeded RNG stream (salted with
+//!    `BATCH_SAMPLING_SALT`, so full-search and shortlisted runs draw
+//!    identical batches at equal seeds),
 //! 2. assign the whole batch against the step's **frozen** centroids and
 //!    index, fanned over `threads` workers through
 //!    [`crate::parallel::chunked_map`] (each item's result depends only on
@@ -29,13 +30,14 @@
 //!    [`MiniBatchModel::absorb`] sketch.
 //!
 //! A final full assignment pass (also fanned over `threads`) turns the
-//! drifted centroids into a complete clustering, exactly like the baseline.
+//! drifted centroids into a complete clustering.
 
 use crate::centroid_index::{CentroidIndex, CentroidRows, IndexScheme, ModeQuery, Salts};
 use crate::framework::CentroidModel;
 use crate::mhkmeans::KMeansModel;
 use crate::mhkmodes::KModesModel;
 use crate::mhkprototypes::KPrototypesModel;
+use crate::modality::{FitParams, Modality};
 use crate::parallel::{chunked_map, hash_band_keys_parallel};
 use lshclust_categorical::{ClusterId, Dataset};
 use lshclust_kmodes::init::{initial_modes, sample_distinct_items, InitMethod};
@@ -117,14 +119,6 @@ pub trait MiniBatchModel: CentroidModel {
 
     /// The current centroids, as the centroid index hashes them.
     fn centroid_rows(&self) -> CentroidRows<'_>;
-
-    /// The items' categorical part, MinHashed once per run (modes-bearing
-    /// models only).
-    fn item_rows(&self) -> Option<&Dataset>;
-
-    /// Item `item`'s numeric part, SimHashed per query (means-bearing
-    /// models only).
-    fn item_point(&self, item: u32) -> Option<&[f64]>;
 }
 
 impl MiniBatchModel for KModesModel<'_> {
@@ -150,14 +144,6 @@ impl MiniBatchModel for KModesModel<'_> {
             modes: Some((self.dataset_ref().schema(), self.modes().values())),
             means: None,
         }
-    }
-
-    fn item_rows(&self) -> Option<&Dataset> {
-        Some(self.dataset_ref())
-    }
-
-    fn item_point(&self, _item: u32) -> Option<&[f64]> {
-        None
     }
 }
 
@@ -192,14 +178,6 @@ impl MiniBatchModel for KMeansModel<'_> {
             modes: None,
             means: Some((self.data_ref().dim(), self.centroids())),
         }
-    }
-
-    fn item_rows(&self) -> Option<&Dataset> {
-        None
-    }
-
-    fn item_point(&self, item: u32) -> Option<&[f64]> {
-        Some(self.data_ref().row(item as usize))
     }
 }
 
@@ -250,14 +228,6 @@ impl MiniBatchModel for KPrototypesModel<'_> {
             )),
             means: Some((prototypes.dim(), &prototypes.means)),
         }
-    }
-
-    fn item_rows(&self) -> Option<&Dataset> {
-        Some(self.data_ref().categorical)
-    }
-
-    fn item_point(&self, item: u32) -> Option<&[f64]> {
-        Some(self.data_ref().numeric.row(item as usize))
     }
 }
 
@@ -351,8 +321,9 @@ struct BatchDecision {
 /// searched count and the search itself. When valid, the reused decision is
 /// exactly what the fresh path would recompute (same winner, `searched = k`,
 /// still counted as a fallback), so byte-identity is preserved.
-fn run_steps<M: MiniBatchModel + Sync>(
-    model: &mut M,
+fn run_steps<D: Modality>(
+    data: &D,
+    model: &mut D::Model<'_>,
     scheme: Option<IndexScheme>,
     params: &MiniBatchParams,
     seed: u64,
@@ -396,7 +367,8 @@ fn run_steps<M: MiniBatchModel + Sync>(
                     MB_SALTS,
                     model.centroid_rows(),
                 ));
-                if let (1, Some(banding), Some(items)) = (step, scheme.minhash, model.item_rows()) {
+                if let (1, Some(banding), Some(items)) = (step, scheme.minhash, data.categorical())
+                {
                     let builder = LshIndexBuilder::new(banding).seed(seed ^ MB_SALTS.minhash);
                     item_keys = hash_band_keys_parallel(&builder, items, threads);
                 }
@@ -410,7 +382,7 @@ fn run_steps<M: MiniBatchModel + Sync>(
         // index (and the frozen reuse cache — written only after the batch),
         // so the fan-out below cannot change the outcome.
         let t_assign = Instant::now();
-        let frozen: &M = &*model;
+        let frozen: &D::Model<'_> = &*model;
         let batch_ref: &[u32] = &batch;
         let cache_ref: &[BatchCache] = &cache;
         let last_changed_ref: &[u64] = &last_changed;
@@ -458,7 +430,8 @@ fn run_steps<M: MiniBatchModel + Sync>(
                     let at = item as usize * key_width;
                     let modes = (key_width > 0)
                         .then(|| ModeQuery::Keys(&item_keys_ref[at..at + key_width]));
-                    let shortlist = index.shortlist(modes, frozen.item_point(item), scratch);
+                    let point = data.numeric().map(|points| points.row(item as usize));
+                    let shortlist = index.shortlist(modes, point, scratch);
                     match frozen.best_among(item, shortlist) {
                         Some((c, _)) => BatchDecision {
                             chosen: c.0,
@@ -595,6 +568,59 @@ fn summary_of(steps: Vec<IterationStats>, setup: std::time::Duration) -> RunSumm
     }
 }
 
+/// Result of a mini-batch fit.
+#[derive(Clone, Debug)]
+pub struct MiniBatchFit<C> {
+    /// Final cluster per item (one full pass under the final centroids).
+    pub assignments: Vec<ClusterId>,
+    /// Final centroids.
+    pub centroids: C,
+    /// Per-step instrumentation; the last row is the final full pass.
+    /// Mini-batch steps do not evaluate the `O(n·m)` objective, so every
+    /// row's `cost` carries the run's final cost (making
+    /// `RunSummary::best_cost`/`final_cost` both read as the cost of the
+    /// returned state, per their contract).
+    pub summary: RunSummary,
+    /// Phase-level timing breakdown of the steps.
+    pub profile: MiniBatchProfile,
+}
+
+/// The mini-batch fit, written once for every modality: full search per
+/// batch item when `cfg.scheme` names no family, shortlisted through a
+/// periodically refreshed centroid index over the scheme's families
+/// otherwise. Reads `cfg.k`, `cfg.scheme`, `cfg.seed`, `cfg.threads` and
+/// `cfg.gamma`; the schedule (and closure reuse) comes from `params`.
+/// `setup_start` should be the instant initialisation began.
+pub fn minibatch_fit<D: Modality>(
+    data: &D,
+    cfg: &FitParams,
+    params: &MiniBatchParams,
+    centroids: D::Centroids,
+    setup_start: Instant,
+) -> MiniBatchFit<D::Centroids> {
+    let mut model = data.model(centroids, cfg.gamma);
+    assert!(model.k() == cfg.k && cfg.k > 0 && cfg.k <= data.n_items());
+    let setup = setup_start.elapsed();
+    let mut steps = Vec::new();
+    let scheme = (!cfg.scheme.is_none()).then_some(cfg.scheme);
+    let profile = run_steps(
+        data,
+        &mut model,
+        scheme,
+        params,
+        cfg.seed,
+        cfg.threads,
+        &mut steps,
+    );
+    let assignments = finish(&model, cfg.threads, &mut steps);
+    MiniBatchFit {
+        assignments,
+        centroids: D::centroids(model),
+        summary: summary_of(steps, setup),
+        profile,
+    }
+}
+
 /// Result of a mini-batch K-Modes fit through this engine.
 #[derive(Clone, Debug)]
 pub struct MiniBatchKModesResult {
@@ -602,11 +628,7 @@ pub struct MiniBatchKModesResult {
     pub assignments: Vec<ClusterId>,
     /// Final modes.
     pub modes: Modes,
-    /// Per-step instrumentation; the last row is the final full pass.
-    /// Mini-batch steps do not evaluate the `O(n·m)` objective, so every
-    /// row's `cost` carries the run's final cost (making
-    /// `RunSummary::best_cost`/`final_cost` both read as the cost of the
-    /// returned state, per their contract).
+    /// Per-step instrumentation (see [`MiniBatchFit::summary`]).
     pub summary: RunSummary,
     /// Phase-level timing breakdown of the steps.
     pub profile: MiniBatchProfile,
@@ -626,35 +648,25 @@ pub fn minibatch_mh_kmodes(
 ) -> MiniBatchKModesResult {
     let setup_start = Instant::now();
     let modes = initial_modes(dataset, k, init, seed);
-    minibatch_mh_kmodes_from(dataset, seed, lsh, params, threads, modes, setup_start)
-}
-
-/// [`minibatch_mh_kmodes`] from explicit initial modes — the warm-start path
-/// of `lshclust::ClusterSpec::warm_start`.
-pub fn minibatch_mh_kmodes_from(
-    dataset: &Dataset,
-    seed: u64,
-    lsh: Option<Banding>,
-    params: &MiniBatchParams,
-    threads: usize,
-    modes: Modes,
-    setup_start: Instant,
-) -> MiniBatchKModesResult {
-    assert!(modes.k() > 0 && modes.k() <= dataset.n_items());
-    let mut model = KModesModel::new(dataset, modes);
-    let setup = setup_start.elapsed();
-    let mut steps = Vec::new();
-    let scheme = lsh.map(|banding| IndexScheme {
-        minhash: Some(banding),
+    let scheme = IndexScheme {
+        minhash: lsh,
         simhash: None,
-    });
-    let profile = run_steps(&mut model, scheme, params, seed, threads, &mut steps);
-    let assignments = finish(&model, threads, &mut steps);
+    };
+    let fit = minibatch_fit(
+        dataset,
+        &FitParams {
+            threads,
+            ..FitParams::new(k, scheme, seed)
+        },
+        params,
+        modes,
+        setup_start,
+    );
     MiniBatchKModesResult {
-        assignments,
-        modes: model.into_modes(),
-        summary: summary_of(steps, setup),
-        profile,
+        assignments: fit.assignments,
+        modes: fit.centroids,
+        summary: fit.summary,
+        profile: fit.profile,
     }
 }
 
@@ -665,7 +677,7 @@ pub struct MiniBatchKMeansResult {
     pub assignments: Vec<ClusterId>,
     /// Final centroids (`k × dim`, row-major).
     pub centroids: Vec<f64>,
-    /// Per-step instrumentation (see [`MiniBatchKModesResult::summary`]).
+    /// Per-step instrumentation (see [`MiniBatchFit::summary`]).
     pub summary: RunSummary,
     /// Phase-level timing breakdown of the steps.
     pub profile: MiniBatchProfile,
@@ -685,36 +697,25 @@ pub fn minibatch_mh_kmeans(
 ) -> MiniBatchKMeansResult {
     let setup_start = Instant::now();
     let centroids = kmeans_initial_centroids(data, k, init, seed);
-    minibatch_mh_kmeans_from(data, k, seed, lsh, params, threads, centroids, setup_start)
-}
-
-/// [`minibatch_mh_kmeans`] from explicit initial centroids (warm start).
-#[allow(clippy::too_many_arguments)]
-pub fn minibatch_mh_kmeans_from(
-    data: &NumericDataset,
-    k: usize,
-    seed: u64,
-    lsh: Option<(u32, u32)>,
-    params: &MiniBatchParams,
-    threads: usize,
-    centroids: Vec<f64>,
-    setup_start: Instant,
-) -> MiniBatchKMeansResult {
-    assert!(k > 0 && k <= data.n_items());
-    let mut model = KMeansModel::new(data, centroids, k);
-    let setup = setup_start.elapsed();
-    let mut steps = Vec::new();
-    let scheme = lsh.map(|simhash| IndexScheme {
+    let scheme = IndexScheme {
         minhash: None,
-        simhash: Some(simhash),
-    });
-    let profile = run_steps(&mut model, scheme, params, seed, threads, &mut steps);
-    let assignments = finish(&model, threads, &mut steps);
+        simhash: lsh,
+    };
+    let fit = minibatch_fit(
+        data,
+        &FitParams {
+            threads,
+            ..FitParams::new(k, scheme, seed)
+        },
+        params,
+        centroids,
+        setup_start,
+    );
     MiniBatchKMeansResult {
-        assignments,
-        centroids: model.centroids().to_vec(),
-        summary: summary_of(steps, setup),
-        profile,
+        assignments: fit.assignments,
+        centroids: fit.centroids,
+        summary: fit.summary,
+        profile: fit.profile,
     }
 }
 
@@ -736,7 +737,7 @@ pub struct MiniBatchKPrototypesResult {
     pub assignments: Vec<ClusterId>,
     /// Final prototypes.
     pub prototypes: Prototypes,
-    /// Per-step instrumentation (see [`MiniBatchKModesResult::summary`]).
+    /// Per-step instrumentation (see [`MiniBatchFit::summary`]).
     pub summary: RunSummary,
     /// Phase-level timing breakdown of the steps.
     pub profile: MiniBatchProfile,
@@ -758,46 +759,26 @@ pub fn minibatch_mh_kprototypes(
     let setup_start = Instant::now();
     let picks = sample_distinct_items(data.n_items(), k, seed);
     let prototypes = Prototypes::from_items(data, &picks);
-    minibatch_mh_kprototypes_from(
+    let scheme = IndexScheme {
+        minhash: lsh.map(|u| u.banding),
+        simhash: lsh.map(|u| (u.sim_bands, u.sim_rows)),
+    };
+    let fit = minibatch_fit(
         data,
-        gamma,
-        seed,
-        lsh,
+        &FitParams {
+            threads,
+            gamma,
+            ..FitParams::new(k, scheme, seed)
+        },
         params,
-        threads,
         prototypes,
         setup_start,
-    )
-}
-
-/// [`minibatch_mh_kprototypes`] from explicit initial prototypes (warm
-/// start).
-#[allow(clippy::too_many_arguments)]
-pub fn minibatch_mh_kprototypes_from(
-    data: &MixedDataset<'_>,
-    gamma: f64,
-    seed: u64,
-    lsh: Option<UnionBands>,
-    params: &MiniBatchParams,
-    threads: usize,
-    prototypes: Prototypes,
-    setup_start: Instant,
-) -> MiniBatchKPrototypesResult {
-    assert!(prototypes.k() > 0 && prototypes.k() <= data.n_items());
-    let mut model = KPrototypesModel::new(data, prototypes, gamma);
-    let setup = setup_start.elapsed();
-    let mut steps = Vec::new();
-    let scheme = lsh.map(|u| IndexScheme {
-        minhash: Some(u.banding),
-        simhash: Some((u.sim_bands, u.sim_rows)),
-    });
-    let profile = run_steps(&mut model, scheme, params, seed, threads, &mut steps);
-    let assignments = finish(&model, threads, &mut steps);
+    );
     MiniBatchKPrototypesResult {
-        assignments,
-        prototypes: model.into_prototypes(),
-        summary: summary_of(steps, setup),
-        profile,
+        assignments: fit.assignments,
+        prototypes: fit.centroids,
+        summary: fit.summary,
+        profile: fit.profile,
     }
 }
 
@@ -869,22 +850,47 @@ mod tests {
     }
 
     #[test]
-    fn full_search_path_matches_kmodes_baseline() {
-        // Same sampling stream, same sketch, same Jacobi-within-batch
-        // semantics: the engine with `lsh: None` must be byte-identical to
-        // the dependency-light `lshclust_kmodes::minibatch` baseline.
-        let ds = blob_dataset(3, 8, 5);
-        let engine =
-            minibatch_mh_kmodes(&ds, 3, InitMethod::RandomItems, 9, None, &params(8, 12), 1);
-        let baseline = lshclust_kmodes::minibatch::minibatch_kmodes(
-            &ds,
-            &lshclust_kmodes::minibatch::MiniBatchConfig::new(3)
-                .batch_size(8)
-                .n_steps(12)
-                .seed(9),
-        );
-        assert_eq!(engine.assignments, baseline.assignments);
-        assert_eq!(engine.modes, baseline.modes);
+    fn separates_blobs() {
+        // Full search per batch item: no LSH scheme.
+        let ds = blob_dataset(3, 10, 6);
+        let result =
+            minibatch_mh_kmodes(&ds, 3, InitMethod::RandomItems, 0, None, &params(16, 30), 1);
+        for g in 0..3 {
+            let first = result.assignments[g * 10];
+            for i in 0..10 {
+                assert_eq!(result.assignments[g * 10 + i], first, "blob {g} split");
+            }
+        }
+    }
+
+    #[test]
+    fn deterministic_given_seed() {
+        let ds = blob_dataset(2, 8, 5);
+        let run =
+            || minibatch_mh_kmodes(&ds, 2, InitMethod::RandomItems, 7, None, &params(8, 10), 1);
+        let (a, b) = (run(), run());
+        assert_eq!(a.assignments, b.assignments);
+        assert_eq!(a.modes, b.modes);
+    }
+
+    #[test]
+    fn final_assignment_is_consistent_with_modes() {
+        use lshclust_kmodes::assign::best_cluster_full;
+        let ds = blob_dataset(2, 6, 4);
+        let result =
+            minibatch_mh_kmodes(&ds, 2, InitMethod::RandomItems, 3, None, &params(4, 20), 1);
+        for i in 0..ds.n_items() {
+            let (best, _) = best_cluster_full(ds.row(i), &result.modes);
+            assert_eq!(result.assignments[i], best);
+        }
+    }
+
+    #[test]
+    fn handles_batch_larger_than_dataset() {
+        let ds = blob_dataset(2, 3, 4);
+        let result =
+            minibatch_mh_kmodes(&ds, 2, InitMethod::RandomItems, 2, None, &params(100, 5), 1);
+        assert_eq!(result.assignments.len(), 6);
     }
 
     #[test]

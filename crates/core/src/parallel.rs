@@ -28,7 +28,7 @@ use crate::framework::{
 };
 use lshclust_categorical::{ClusterId, Dataset, PresentElements};
 use lshclust_minhash::hashfn::MixHashFamily;
-use lshclust_minhash::index::{LshIndex, LshIndexBuilder};
+use lshclust_minhash::index::LshIndexBuilder;
 use lshclust_minhash::signature::SignatureGenerator;
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -339,35 +339,15 @@ pub fn assign_full_parallel<M: CentroidModel + Sync>(
     }
 }
 
-/// Builds the fit-time **item index** with the per-item hashing (signature +
-/// band keys) fanned over `threads` workers — the parallel twin of
-/// [`LshIndexBuilder::build`], covering the other half of the setup phase
-/// (the paper's step 3: MinHash every item). Hashing is per-item
-/// deterministic and the bucket fill
-/// ([`LshIndexBuilder::build_from_band_keys`]) walks items in ascending
-/// order, so the index is **byte-identical** to a serial build; `threads <=
-/// 1` delegates to the serial builder outright.
-pub fn build_lsh_index_parallel(
-    builder: &LshIndexBuilder,
-    dataset: &Dataset,
-    initial: &[ClusterId],
-    threads: usize,
-) -> LshIndex {
-    let n = dataset.n_items();
-    let n_bands = builder.params().banding.bands() as usize;
-    if threads <= 1 || n <= 1 || n_bands == 0 {
-        return builder.build(dataset, initial);
-    }
-    builder.build_from_band_keys(hash_band_keys_parallel(builder, dataset, threads), initial)
-}
-
-/// The hashing half of [`build_lsh_index_parallel`] on its own: every item's
-/// MinHash band keys, item-major (`n_items × bands`), hashed with the
-/// builder's banding and seed and fanned over `threads` workers. The buffer
-/// is exactly what the serial [`LshIndexBuilder::build`] pass 1 emits, so
-/// feeding it back through [`LshIndexBuilder::build_from_band_keys`] is
-/// byte-identical to a serial build — and the shard coordinator
-/// (`crate::shard`) uses the same buffer to deal each shard its items' keys.
+/// Every item's MinHash band keys, item-major (`n_items × bands`), hashed
+/// with the builder's banding and seed and fanned over `threads` workers —
+/// the hashing half of the setup phase (the paper's step 3: MinHash every
+/// item). The buffer is exactly what the serial [`LshIndexBuilder::build`]
+/// pass 1 emits, so feeding it back through
+/// [`LshIndexBuilder::build_from_band_keys`] (whose bucket fill walks items
+/// in ascending order) is byte-identical to a serial build — and the shard
+/// coordinator (`crate::shard`) uses the same buffer to deal each shard its
+/// items' keys.
 pub fn hash_band_keys_parallel(
     builder: &LshIndexBuilder,
     dataset: &Dataset,
@@ -611,11 +591,6 @@ impl<T> MicroBatchQueue<T> {
     /// Whether the queue is currently empty (racy by nature).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Whether [`Self::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        self.inner.lock().expect("queue lock").closed
     }
 
     /// Enqueues `item`, failing fast when the queue is full or closed —
@@ -1090,7 +1065,8 @@ mod tests {
         let builder = LshIndexBuilder::new(Banding::new(10, 2)).seed(17);
         let serial = builder.build(&ds, &initial);
         for threads in [2usize, 3, 16] {
-            let parallel = build_lsh_index_parallel(&builder, &ds, &initial, threads);
+            let keys = hash_band_keys_parallel(&builder, &ds, threads);
+            let parallel = builder.build_from_band_keys(keys, &initial);
             assert_eq!(parallel.stats(), serial.stats(), "threads={threads}");
             let mut s1 = serial.make_scratch(4);
             let mut s2 = parallel.make_scratch(4);
@@ -1107,18 +1083,14 @@ mod tests {
         use crate::mhkmeans::SimHashIndex;
         use lshclust_kmodes::kmeans::NumericDataset;
         let data = NumericDataset::new(3, (0..60).map(|i| (i as f64 * 0.83).sin() * 5.0).collect());
-        let initial: Vec<ClusterId> = (0..20).map(|i| ClusterId(i % 3)).collect();
-        let serial = SimHashIndex::build(&data, 6, 4, 7, &initial);
+        let family = SimHashIndex::new(&data, 6, 4, 7);
+        let serial = family.band_keys(&data, 1);
         for threads in [2usize, 5, 32] {
-            let parallel = SimHashIndex::build_parallel(&data, 6, 4, 7, &initial, threads);
-            let mut out_a = Vec::new();
-            let mut out_b = Vec::new();
-            let mut seen = lshclust_minhash::hashfn::FastSet::default();
-            for item in 0..20u32 {
-                serial.shortlist_into(item, &mut out_a, &mut seen);
-                parallel.shortlist_into(item, &mut out_b, &mut seen);
-                assert_eq!(out_a, out_b, "threads={threads} item {item}");
-            }
+            assert_eq!(
+                family.band_keys(&data, threads),
+                serial,
+                "threads={threads}"
+            );
         }
     }
 

@@ -1,10 +1,12 @@
-//! **Sharded fitting** — the coordinator/worker decomposition of the three
-//! accelerated fits.
+//! **Sharded fitting** — the coordinator/worker decomposition of the
+//! accelerated full fit, written once for every modality ([`shard_fit`]
+//! over [`Modality`]).
 //!
 //! The items (and with them the LSH bucket fills) are partitioned into `S`
 //! contiguous ranges by a [`ShardPlan`]. Each shard owns its range's rows
-//! plus its *own* [`LshIndex`]/[`SimHashIndex`] built only over its items'
-//! band keys, and runs the existing Jacobi assignment locally through the
+//! plus its *own* [`LshIndex`] per hash family (MinHash keys, SimHash keys,
+//! or both for mixed data) built only over its items' band keys, and runs
+//! the existing Jacobi assignment locally through the
 //! [`SyncShortlistProvider`] seam. The coordinator owns the centroid model
 //! and runs the **same** `framework::drive` loop as the unsharded paths;
 //! each iteration is one round-trip:
@@ -26,9 +28,10 @@
 //!    the item count and the distinct cluster references — and the
 //!    coordinator merges the digests into a global `(band, key) → clusters`
 //!    map that is redistributed with the next pass. A worker shortlists an
-//!    item by looking its own band keys up in the *merged* map, which
-//!    yields exactly the global candidate **set**; all three `best_among`
-//!    kernels are shortlist-order-insensitive, so set equality suffices.
+//!    item by looking its own band keys up in the *merged* maps of every
+//!    family, which yields exactly the global candidate **set**; all three
+//!    `best_among` kernels are shortlist-order-insensitive, so set equality
+//!    suffices.
 //! 2. **Coordinator-side updates.** Workers emit per-cluster partial
 //!    statistics ([`ModeSketch`] value counts for the categorical modes)
 //!    and the coordinator feeds the merged statistics through the same
@@ -58,11 +61,8 @@
 use crate::framework::{
     self, ActivitySet, AssignOutcome, CentroidModel, ShortlistCache, ShortlistProvider,
 };
-use crate::mhkmeans::{KMeansModel, MhKMeansConfig, MhKMeansResult, SimHashIndex};
-use crate::mhkmodes::{KModesModel, MhKModesConfig, MhKModesResult};
-use crate::mhkprototypes::{
-    KPrototypesModel, MhKPrototypesConfig, MhKPrototypesResult, UnionProvider,
-};
+use crate::mhkmodes::{MhKModesConfig, MhKModesResult};
+use crate::modality::{combined_stats, FitParams, FitResult, ItemKeys, Modality};
 use crate::parallel::{self, SyncShortlistProvider};
 use lshclust_categorical::{ClusterId, Dataset, Schema, ValueId};
 use lshclust_kmodes::kmeans::NumericDataset;
@@ -70,6 +70,7 @@ use lshclust_kmodes::kprototypes::{MixedDataset, Prototypes};
 use lshclust_kmodes::modes::{group_by_cluster, Modes};
 use lshclust_minhash::hashfn::{FastMap, FastSet};
 use lshclust_minhash::index::{IndexParams, IndexStats, LshIndex, LshIndexBuilder};
+use lshclust_minhash::Banding;
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 use std::cell::RefCell;
 use std::fmt;
@@ -190,18 +191,9 @@ impl KeyDigest {
         Self { entries }
     }
 
-    /// Digests a MinHash index: one entry per filled bucket, with the
-    /// current cluster references.
+    /// Digests an item index (MinHash or SimHash keys): one entry per
+    /// filled bucket, with the current cluster references.
     pub fn of_lsh(index: &LshIndex) -> Self {
-        let mut entries = Vec::new();
-        index.for_each_bucket(|band, key, members| {
-            entries.push(DigestEntry::of(band, key, members, |i| index.cluster_of(i)));
-        });
-        Self::canonical(entries)
-    }
-
-    /// Digests a SimHash index the same way.
-    pub fn of_simhash(index: &SimHashIndex) -> Self {
         let mut entries = Vec::new();
         index.for_each_bucket(|band, key, members| {
             entries.push(DigestEntry::of(band, key, members, |i| index.cluster_of(i)));
@@ -250,38 +242,53 @@ impl KeyDigest {
 }
 
 /// A shard-local [`SyncShortlistProvider`] over the **merged global**
-/// digest: shortlisting a local item looks its precomputed band keys up in
-/// the per-band `(key → clusters)` maps built from the digest, yielding the
-/// same candidate set the unsharded index would (the digest's cluster sets
-/// are global). `record_assignment` is a no-op — under the Jacobi pass the
-/// digest is frozen for the whole pass and rebuilt wholesale afterwards,
-/// which is exactly when the unsharded pass's recorded moves become visible.
+/// digests, one per hash family: shortlisting a local item looks its
+/// precomputed band keys up in the per-band `(key → clusters)` maps built
+/// from each digest, yielding the same candidate set the unsharded index
+/// would (the digest's cluster sets are global; a mixed item's set is the
+/// union over both families). `record_assignment` is a no-op — under the
+/// Jacobi pass the digests are frozen for the whole pass and rebuilt
+/// wholesale afterwards, which is exactly when the unsharded pass's
+/// recorded moves become visible.
 pub struct DigestShortlistProvider<'a> {
-    band_keys: &'a [u64],
-    n_bands: usize,
-    lookup: Vec<FastMap<u64, Vec<ClusterId>>>,
+    families: Vec<DigestFamily<'a>>,
     seen: FastSet<u32>,
 }
 
+struct DigestFamily<'a> {
+    band_keys: &'a [u64],
+    n_bands: usize,
+    lookup: Vec<FastMap<u64, Vec<ClusterId>>>,
+}
+
 impl<'a> DigestShortlistProvider<'a> {
-    /// Builds the per-band lookup from a merged digest; `band_keys` are the
-    /// shard's local item-major keys (`local_items × n_bands`).
-    pub fn new(digest: &KeyDigest, n_bands: usize, band_keys: &'a [u64]) -> Self {
-        assert!(
-            band_keys.len().is_multiple_of(n_bands.max(1)),
-            "band-key buffer is not item-major n_items × bands"
-        );
-        let mut lookup: Vec<FastMap<u64, Vec<ClusterId>>> =
-            (0..n_bands).map(|_| FastMap::default()).collect();
-        for e in &digest.entries {
-            if let Some(map) = lookup.get_mut(e.band as usize) {
-                map.insert(e.key, e.clusters.clone());
-            }
-        }
+    /// Builds the per-band lookups from merged digests, one
+    /// `(digest, bands, band_keys)` per family with the shard's local
+    /// item-major keys (`local_items × bands`) of that family.
+    pub fn new<'d>(families: impl IntoIterator<Item = (&'d KeyDigest, usize, &'a [u64])>) -> Self {
+        let families = families
+            .into_iter()
+            .map(|(digest, n_bands, band_keys)| {
+                assert!(
+                    band_keys.len().is_multiple_of(n_bands.max(1)),
+                    "band-key buffer is not item-major n_items × bands"
+                );
+                let mut lookup: Vec<FastMap<u64, Vec<ClusterId>>> =
+                    (0..n_bands).map(|_| FastMap::default()).collect();
+                for e in &digest.entries {
+                    if let Some(map) = lookup.get_mut(e.band as usize) {
+                        map.insert(e.key, e.clusters.clone());
+                    }
+                }
+                DigestFamily {
+                    band_keys,
+                    n_bands,
+                    lookup,
+                }
+            })
+            .collect();
         Self {
-            band_keys,
-            n_bands,
-            lookup,
+            families,
             seen: FastSet::default(),
         }
     }
@@ -289,13 +296,15 @@ impl<'a> DigestShortlistProvider<'a> {
     fn query(&self, item: u32, seen: &mut FastSet<u32>, out: &mut Vec<ClusterId>) {
         out.clear();
         seen.clear();
-        let start = item as usize * self.n_bands;
-        for (band, map) in self.lookup.iter().enumerate() {
-            let key = self.band_keys[start + band];
-            if let Some(clusters) = map.get(&key) {
-                for &c in clusters {
-                    if seen.insert(c.0) {
-                        out.push(c);
+        for family in &self.families {
+            let start = item as usize * family.n_bands;
+            for (band, map) in family.lookup.iter().enumerate() {
+                let key = family.band_keys[start + band];
+                if let Some(clusters) = map.get(&key) {
+                    for &c in clusters {
+                        if seen.insert(c.0) {
+                            out.push(c);
+                        }
                     }
                 }
             }
@@ -798,53 +807,33 @@ impl Deserialize for ShardReply {
 // Workers
 // ---------------------------------------------------------------------------
 
-struct CatSide {
-    dataset: Dataset,
-    params: IndexParams,
+/// One hash family of a shard: its items' band keys, hashed by the
+/// coordinator, and — after the first full assignment — the local index
+/// filled from them. The worker never hashes.
+struct ShardIndex {
+    builder: LshIndexBuilder,
     band_keys: Vec<u64>,
     index: Option<LshIndex>,
 }
 
-impl CatSide {
-    fn new(init: CatShardInit) -> Result<Self, ShardError> {
-        if init.n_attrs == 0 {
-            return Err(ShardError("categorical init with zero attributes".into()));
-        }
-        if !init.values.len().is_multiple_of(init.n_attrs) {
+impl ShardIndex {
+    fn new(builder: LshIndexBuilder, band_keys: Vec<u64>, n: usize) -> Result<Self, ShardError> {
+        let n_bands = builder.params().banding.bands() as usize;
+        if band_keys.len() != n * n_bands {
             return Err(ShardError(format!(
-                "categorical values ({}) are not a multiple of n_attrs ({})",
-                init.values.len(),
-                init.n_attrs
+                "band keys ({}) disagree with {n} items × {n_bands} bands",
+                band_keys.len()
             )));
         }
-        let n = init.values.len() / init.n_attrs;
-        let n_bands = init.params.banding.bands() as usize;
-        if init.band_keys.len() != n * n_bands {
-            return Err(ShardError(format!(
-                "categorical band keys ({}) disagree with {n} items × {n_bands} bands",
-                init.band_keys.len()
-            )));
-        }
-        // An anonymous schema suffices: the distance/mode kernels only read
-        // raw `ValueId`s, and hashing already happened on the coordinator.
-        let dataset = Dataset::from_parts(Schema::anonymous(init.n_attrs), init.values, None);
         Ok(Self {
-            dataset,
-            params: init.params,
-            band_keys: init.band_keys,
+            builder,
+            band_keys,
             index: None,
         })
     }
 
     fn n_bands(&self) -> usize {
-        self.params.banding.bands() as usize
-    }
-
-    fn build_index(&mut self, assignments: &[ClusterId]) {
-        self.index = Some(
-            LshIndexBuilder::from_params(self.params)
-                .build_from_band_keys(self.band_keys.clone(), assignments),
-        );
+        self.builder.params().banding.bands() as usize
     }
 
     fn digest(&self) -> KeyDigest {
@@ -852,78 +841,70 @@ impl CatSide {
     }
 }
 
-struct NumSide {
-    data: NumericDataset,
-    bands: u32,
-    rows: u32,
-    seed: u64,
-    mean: Vec<f64>,
-    band_keys: Vec<u64>,
-    index: Option<SimHashIndex>,
+/// The categorical rows of an `Init` and their MinHash family.
+fn categorical_side(init: CatShardInit) -> Result<(Dataset, ShardIndex), ShardError> {
+    if init.n_attrs == 0 {
+        return Err(ShardError("categorical init with zero attributes".into()));
+    }
+    if !init.values.len().is_multiple_of(init.n_attrs) {
+        return Err(ShardError(format!(
+            "categorical values ({}) are not a multiple of n_attrs ({})",
+            init.values.len(),
+            init.n_attrs
+        )));
+    }
+    let n = init.values.len() / init.n_attrs;
+    let index = ShardIndex::new(LshIndexBuilder::from_params(init.params), init.band_keys, n)?;
+    // An anonymous schema suffices: the distance/mode kernels only read
+    // raw `ValueId`s, and hashing already happened on the coordinator.
+    let dataset = Dataset::from_parts(Schema::anonymous(init.n_attrs), init.values, None);
+    Ok((dataset, index))
 }
 
-impl NumSide {
-    fn new(init: NumShardInit) -> Result<Self, ShardError> {
-        if init.dim == 0 {
-            return Err(ShardError("numeric init with zero dimensions".into()));
-        }
-        if !init.values.len().is_multiple_of(init.dim) {
-            return Err(ShardError(format!(
-                "numeric values ({}) are not a multiple of dim ({})",
-                init.values.len(),
-                init.dim
-            )));
-        }
-        let n = init.values.len() / init.dim;
-        if init.band_keys.len() != n * init.bands as usize {
-            return Err(ShardError(format!(
-                "numeric band keys ({}) disagree with {n} items × {} bands",
-                init.band_keys.len(),
-                init.bands
-            )));
-        }
-        if init.mean.len() != init.dim {
-            return Err(ShardError("centring mean disagrees with dim".into()));
-        }
-        Ok(Self {
-            data: NumericDataset::new(init.dim, init.values),
-            bands: init.bands,
-            rows: init.rows,
-            seed: init.seed,
-            mean: init.mean,
-            band_keys: init.band_keys,
-            index: None,
-        })
+/// The numeric rows of an `Init` and their SimHash family.
+fn numeric_side(init: NumShardInit) -> Result<(NumericDataset, ShardIndex), ShardError> {
+    if init.dim == 0 {
+        return Err(ShardError("numeric init with zero dimensions".into()));
     }
-
-    fn build_index(&mut self, assignments: &[ClusterId]) {
-        self.index = Some(SimHashIndex::from_band_keys(
-            self.data.dim(),
-            self.bands,
-            self.rows,
-            self.seed,
-            self.mean.clone(),
-            self.band_keys.clone(),
-            assignments,
-        ));
+    if !init.values.len().is_multiple_of(init.dim) {
+        return Err(ShardError(format!(
+            "numeric values ({}) are not a multiple of dim ({})",
+            init.values.len(),
+            init.dim
+        )));
     }
-
-    fn digest(&self) -> KeyDigest {
-        KeyDigest::of_simhash(self.index.as_ref().expect("index built"))
+    if init.bands == 0 || init.rows == 0 {
+        return Err(ShardError(format!(
+            "numeric banding {}×{} is not positive",
+            init.bands, init.rows
+        )));
     }
+    if init.mean.len() != init.dim {
+        return Err(ShardError("centring mean disagrees with dim".into()));
+    }
+    let n = init.values.len() / init.dim;
+    let builder = LshIndexBuilder::new(Banding::new(init.bands, init.rows)).seed(init.seed);
+    let index = ShardIndex::new(builder, init.band_keys, n)?;
+    Ok((NumericDataset::new(init.dim, init.values), index))
 }
 
-/// One shard's in-process state: its rows, its local index(es), and its
-/// current local assignments. Serves [`ShardRequest`]s; the same type backs
-/// both [`InProcessTransport`] and the NDJSON worker loop in
-/// `lshclust::shard`.
+/// One shard's in-process state: its rows, one local index per hash family
+/// (MinHash first), and its current local assignments. Serves
+/// [`ShardRequest`]s; the same type backs both [`InProcessTransport`] and
+/// the NDJSON worker loop in `lshclust::shard`.
 pub struct ShardWorker {
+    categorical: Option<Dataset>,
+    numeric: Option<NumericDataset>,
+    state: ShardState,
+}
+
+/// A worker's fit state beside its rows.
+struct ShardState {
     k: usize,
     threads: usize,
     gamma: f64,
     closures: bool,
-    categorical: Option<CatSide>,
-    numeric: Option<NumSide>,
+    indexes: Vec<ShardIndex>,
     assignments: Vec<ClusterId>,
     /// Per-item cached shortlists for the cluster-closure skip; reset on
     /// every `AssignFull` (the indexes it reads are rebuilt there).
@@ -936,38 +917,41 @@ impl ShardWorker {
         if init.k == 0 {
             return Err(ShardError("k must be positive".into()));
         }
-        let categorical = init.categorical.map(CatSide::new).transpose()?;
-        let numeric = init.numeric.map(NumSide::new).transpose()?;
+        let (categorical, minhash) = init.categorical.map(categorical_side).transpose()?.unzip();
+        let (numeric, simhash) = init.numeric.map(numeric_side).transpose()?.unzip();
         let n = match (&categorical, &numeric) {
             (Some(c), Some(s)) => {
-                if c.dataset.n_items() != s.data.n_items() {
+                if c.n_items() != s.n_items() {
                     return Err(ShardError(format!(
                         "categorical items ({}) disagree with numeric items ({})",
-                        c.dataset.n_items(),
-                        s.data.n_items()
+                        c.n_items(),
+                        s.n_items()
                     )));
                 }
-                c.dataset.n_items()
+                c.n_items()
             }
-            (Some(c), None) => c.dataset.n_items(),
-            (None, Some(s)) => s.data.n_items(),
+            (Some(c), None) => c.n_items(),
+            (None, Some(s)) => s.n_items(),
             (None, None) => return Err(ShardError("init carries no modality".into())),
         };
         Ok(Self {
-            k: init.k,
-            threads: init.threads.max(1),
-            gamma: init.gamma,
-            closures: init.closures,
             categorical,
             numeric,
-            assignments: vec![ClusterId(0); n],
-            cache: ShortlistCache::new(n),
+            state: ShardState {
+                k: init.k,
+                threads: init.threads.max(1),
+                gamma: init.gamma,
+                closures: init.closures,
+                indexes: minhash.into_iter().chain(simhash).collect(),
+                assignments: vec![ClusterId(0); n],
+                cache: ShortlistCache::new(n),
+            },
         })
     }
 
     /// Local item count.
     pub fn n_items(&self) -> usize {
-        self.assignments.len()
+        self.state.assignments.len()
     }
 
     /// Serves one request. Errors come back as [`ShardReply::Error`] so the
@@ -975,12 +959,12 @@ impl ShardWorker {
     pub fn handle(&mut self, request: ShardRequest) -> ShardReply {
         let result = match request {
             ShardRequest::Init(_) => Err(ShardError("worker already initialised".into())),
-            ShardRequest::AssignFull { centroids } => self.assign_full(centroids),
+            ShardRequest::AssignFull { centroids } => self.round(centroids, None),
             ShardRequest::Pass {
                 centroids,
                 digests,
                 active,
-            } => self.pass(centroids, &digests, &active),
+            } => self.round(centroids, Some((&digests, &active))),
             ShardRequest::Shutdown => return ShardReply::Done,
         };
         match result {
@@ -989,238 +973,116 @@ impl ShardWorker {
         }
     }
 
-    fn update(&self, moves: u64, shortlist_total: u64, skipped: u64) -> ShardUpdate {
-        let mut digests = Vec::new();
-        if let Some(cat) = &self.categorical {
-            digests.push(cat.digest());
-        }
-        if let Some(num) = &self.numeric {
-            digests.push(num.digest());
-        }
-        ShardUpdate {
-            assignments: self.assignments.clone(),
-            moves,
-            shortlist_total,
-            skipped,
-            digests,
-            sketch: self
-                .categorical
-                .as_ref()
-                .map(|cat| ModeSketch::from_assignments(&cat.dataset, &self.assignments, self.k)),
-        }
-    }
-
-    fn assign_full(&mut self, centroids: CentroidSet) -> Result<ShardUpdate, ShardError> {
-        match (&mut self.categorical, &mut self.numeric, centroids) {
-            (Some(cat), None, CentroidSet::Modes(modes)) => {
-                check_modes(&modes, self.k, cat.dataset.n_attrs())?;
-                let model = KModesModel::new(&cat.dataset, modes);
-                parallel::assign_full_parallel(&model, &mut self.assignments, self.threads);
-                cat.build_index(&self.assignments);
-            }
-            (None, Some(num), CentroidSet::Means { k, dim, values }) => {
-                check_means(k, dim, &values, self.k, num.data.dim())?;
-                let model = KMeansModel::new(&num.data, values, k);
-                parallel::assign_full_parallel(&model, &mut self.assignments, self.threads);
-                num.build_index(&self.assignments);
-            }
-            (Some(cat), Some(num), CentroidSet::Prototypes(prototypes)) => {
-                check_prototypes(&prototypes, self.k, cat.dataset.n_attrs(), num.data.dim())?;
-                let mixed = MixedDataset::new(&cat.dataset, &num.data);
-                let model = KPrototypesModel::new(&mixed, prototypes, self.gamma);
-                parallel::assign_full_parallel(&model, &mut self.assignments, self.threads);
-                cat.build_index(&self.assignments);
-                num.build_index(&self.assignments);
-            }
-            _ => return Err(ShardError("centroid set disagrees with modality".into())),
-        }
-        // The indexes the cached shortlists were read from no longer exist.
-        self.cache.invalidate_all();
-        Ok(self.update(0, 0, 0))
-    }
-
-    fn pass(
+    fn round(
         &mut self,
         centroids: CentroidSet,
-        digests: &[KeyDigest],
-        active: &[u32],
+        pass: Option<(&[KeyDigest], &[u32])>,
     ) -> Result<ShardUpdate, ShardError> {
-        // With closures on, items whose cached shortlist avoids every
-        // broadcast-active cluster keep their assignment without a digest
-        // query — the same skip rule, against the same global activity, as
-        // the unsharded engine, so the pass stays byte-identical. The cache
-        // lives next to the per-shard indexes: shard-local items, global
-        // cluster ids.
-        let closures = self.closures;
-        let activity = ActivitySet::from_clusters(self.k, active);
-        let cache = &mut self.cache;
-        let (new_assignments, shortlist_total, skipped) =
-            match (&self.categorical, &self.numeric, centroids) {
-                (Some(cat), None, CentroidSet::Modes(modes)) => {
-                    check_modes(&modes, self.k, cat.dataset.n_attrs())?;
-                    let [digest] = digests else {
-                        return Err(ShardError("categorical pass expects one digest".into()));
-                    };
-                    if cat.index.is_none() {
-                        return Err(ShardError("pass before assign_full".into()));
-                    }
-                    let provider =
-                        DigestShortlistProvider::new(digest, cat.n_bands(), &cat.band_keys);
-                    let model = KModesModel::new(&cat.dataset, modes);
-                    if closures {
-                        parallel::jacobi_assign_closures(
-                            &model,
-                            &provider,
-                            &self.assignments,
-                            &activity,
-                            cache,
-                            self.threads,
-                            true,
-                        )
-                    } else {
-                        let (a, total) = parallel::jacobi_assign_interleaved(
-                            &model,
-                            &provider,
-                            &self.assignments,
-                            self.threads,
-                        );
-                        (a, total, 0)
-                    }
-                }
-                (None, Some(num), CentroidSet::Means { k, dim, values }) => {
-                    check_means(k, dim, &values, self.k, num.data.dim())?;
-                    let [digest] = digests else {
-                        return Err(ShardError("numeric pass expects one digest".into()));
-                    };
-                    if num.index.is_none() {
-                        return Err(ShardError("pass before assign_full".into()));
-                    }
-                    let provider =
-                        DigestShortlistProvider::new(digest, num.bands as usize, &num.band_keys);
-                    let model = KMeansModel::new(&num.data, values, k);
-                    if closures {
-                        parallel::jacobi_assign_closures(
-                            &model,
-                            &provider,
-                            &self.assignments,
-                            &activity,
-                            cache,
-                            self.threads,
-                            true,
-                        )
-                    } else {
-                        let (a, total) = parallel::jacobi_assign_interleaved(
-                            &model,
-                            &provider,
-                            &self.assignments,
-                            self.threads,
-                        );
-                        (a, total, 0)
-                    }
-                }
-                (Some(cat), Some(num), CentroidSet::Prototypes(prototypes)) => {
-                    check_prototypes(&prototypes, self.k, cat.dataset.n_attrs(), num.data.dim())?;
-                    let [cat_digest, sim_digest] = digests else {
-                        return Err(ShardError("mixed pass expects two digests".into()));
-                    };
-                    if cat.index.is_none() || num.index.is_none() {
-                        return Err(ShardError("pass before assign_full".into()));
-                    }
-                    // MinHash first, SimHash second — the unsharded union order.
-                    let provider = UnionProvider::new(
-                        DigestShortlistProvider::new(cat_digest, cat.n_bands(), &cat.band_keys),
-                        DigestShortlistProvider::new(
-                            sim_digest,
-                            num.bands as usize,
-                            &num.band_keys,
-                        ),
+        let state = &mut self.state;
+        match (&self.categorical, &self.numeric) {
+            (Some(cat), None) => state.round(cat, centroids, pass),
+            (None, Some(num)) => state.round(num, centroids, pass),
+            (Some(cat), Some(num)) => state.round(&MixedDataset::new(cat, num), centroids, pass),
+            (None, None) => unreachable!("a worker holds at least one modality"),
+        }
+    }
+}
+
+impl ShardState {
+    /// One assignment round over this shard's items: a full assignment
+    /// against the broadcast centroids that then fills the local indexes
+    /// (`pass` is `None`), or one shortlisted Jacobi pass against the
+    /// merged digests and the global active clusters.
+    fn round<D: Modality>(
+        &mut self,
+        data: &D,
+        centroids: CentroidSet,
+        pass: Option<(&[KeyDigest], &[u32])>,
+    ) -> Result<ShardUpdate, ShardError> {
+        let model = data.model(data.receive(centroids, self.k)?, self.gamma);
+        let (moves, shortlist_total, skipped) = match pass {
+            None => {
+                parallel::assign_full_parallel(&model, &mut self.assignments, self.threads);
+                for side in &mut self.indexes {
+                    side.index = Some(
+                        side.builder
+                            .build_from_band_keys(side.band_keys.clone(), &self.assignments),
                     );
-                    let mixed = MixedDataset::new(&cat.dataset, &num.data);
-                    let model = KPrototypesModel::new(&mixed, prototypes, self.gamma);
-                    if closures {
-                        parallel::jacobi_assign_closures(
-                            &model,
-                            &provider,
-                            &self.assignments,
-                            &activity,
-                            cache,
-                            self.threads,
-                            true,
-                        )
-                    } else {
-                        let (a, total) = parallel::jacobi_assign_interleaved(
-                            &model,
-                            &provider,
-                            &self.assignments,
-                            self.threads,
-                        );
-                        (a, total, 0)
-                    }
                 }
-                _ => return Err(ShardError("centroid set disagrees with modality".into())),
-            };
-        let moves = self
-            .assignments
-            .iter()
-            .zip(&new_assignments)
-            .filter(|(old, new)| old != new)
-            .count() as u64;
-        self.assignments = new_assignments;
-        if let Some(cat) = &mut self.categorical {
-            cat.index
-                .as_mut()
-                .expect("checked above")
-                .set_all_clusters(&self.assignments);
-        }
-        if let Some(num) = &mut self.numeric {
-            num.index
-                .as_mut()
-                .expect("checked above")
-                .set_all_clusters(&self.assignments);
-        }
-        Ok(self.update(moves, shortlist_total as u64, skipped as u64))
+                // The indexes the cached shortlists were read from no
+                // longer exist.
+                self.cache.invalidate_all();
+                (0, 0, 0)
+            }
+            Some((digests, active)) => {
+                if digests.len() != self.indexes.len() {
+                    return Err(ShardError(format!(
+                        "pass expects {} digests, got {}",
+                        self.indexes.len(),
+                        digests.len()
+                    )));
+                }
+                if self.indexes.iter().any(|side| side.index.is_none()) {
+                    return Err(ShardError("pass before assign_full".into()));
+                }
+                let provider = DigestShortlistProvider::new(
+                    digests
+                        .iter()
+                        .zip(&self.indexes)
+                        .map(|(digest, side)| (digest, side.n_bands(), &side.band_keys[..])),
+                );
+                // With closures on, items whose cached shortlist avoids
+                // every broadcast-active cluster keep their assignment
+                // without a digest query — the same skip rule, against the
+                // same global activity, as the unsharded engine, so the
+                // pass stays byte-identical. The cache lives next to the
+                // per-shard indexes: shard-local items, global cluster ids.
+                let (new_assignments, shortlist_total, skipped) = if self.closures {
+                    parallel::jacobi_assign_closures(
+                        &model,
+                        &provider,
+                        &self.assignments,
+                        &ActivitySet::from_clusters(self.k, active),
+                        &mut self.cache,
+                        self.threads,
+                        true,
+                    )
+                } else {
+                    let (a, total) = parallel::jacobi_assign_interleaved(
+                        &model,
+                        &provider,
+                        &self.assignments,
+                        self.threads,
+                    );
+                    (a, total, 0)
+                };
+                let moves = self
+                    .assignments
+                    .iter()
+                    .zip(&new_assignments)
+                    .filter(|(old, new)| old != new)
+                    .count();
+                self.assignments = new_assignments;
+                for side in &mut self.indexes {
+                    side.index
+                        .as_mut()
+                        .expect("checked above")
+                        .set_all_clusters(&self.assignments);
+                }
+                (moves, shortlist_total, skipped)
+            }
+        };
+        Ok(ShardUpdate {
+            assignments: self.assignments.clone(),
+            moves: moves as u64,
+            shortlist_total: shortlist_total as u64,
+            skipped: skipped as u64,
+            digests: self.indexes.iter().map(ShardIndex::digest).collect(),
+            sketch: data
+                .categorical()
+                .map(|dataset| ModeSketch::from_assignments(dataset, &self.assignments, self.k)),
+        })
     }
-}
-
-fn check_modes(modes: &Modes, k: usize, n_attrs: usize) -> Result<(), ShardError> {
-    if modes.k() != k || modes.n_attrs() != n_attrs {
-        return Err(ShardError(format!(
-            "modes {}×{} disagree with shard {}×{}",
-            modes.k(),
-            modes.n_attrs(),
-            k,
-            n_attrs
-        )));
-    }
-    Ok(())
-}
-
-fn check_means(
-    k: usize,
-    dim: usize,
-    values: &[f64],
-    want_k: usize,
-    want_dim: usize,
-) -> Result<(), ShardError> {
-    if k != want_k || dim != want_dim || values.len() != k * dim {
-        return Err(ShardError(format!(
-            "means {k}×{dim} ({} values) disagree with shard {want_k}×{want_dim}",
-            values.len()
-        )));
-    }
-    Ok(())
-}
-
-fn check_prototypes(
-    prototypes: &Prototypes,
-    k: usize,
-    n_attrs: usize,
-    dim: usize,
-) -> Result<(), ShardError> {
-    if prototypes.k() != k || prototypes.modes.n_attrs() != n_attrs || prototypes.dim() != dim {
-        return Err(ShardError("prototypes disagree with shard shape".into()));
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -1412,172 +1274,92 @@ fn exchange(
     Ok((outcome, digests, sketch))
 }
 
-/// Sharded MH-K-Modes from explicit initial modes — byte-identical to
-/// [`crate::mhkmodes::MhKModes::fit_from`] at `threads > 1` with the same
-/// config and modes, for any shard count. `index_stats` is reconstructed
-/// from the merged initial digest and equals the unsharded index's.
-pub fn shard_mh_kmodes_from(
-    dataset: &Dataset,
-    cfg: &MhKModesConfig,
-    modes: Modes,
+/// The sharded accelerated full fit, written once for every modality:
+/// byte-identical to [`crate::modality::fit_full`] at `threads > 1` with the same config and
+/// centroids, for any shard count. The digest-based shortlist always
+/// includes an item's own bucket, so `cfg.include_self` is not read.
+/// `index_stats` is reconstructed from the merged initial digests and
+/// equals the unsharded item index's.
+pub fn shard_fit<D: Modality>(
+    data: &D,
+    cfg: &FitParams,
+    centroids: D::Centroids,
     setup_start: Instant,
     transport: &mut dyn ShardTransport,
-) -> Result<MhKModesResult, ShardError> {
-    assert_eq!(modes.k(), cfg.k, "initial modes disagree with configured k");
-    let n = dataset.n_items();
+) -> Result<FitResult<D::Centroids>, ShardError> {
+    let n = data.n_items();
     let plan = ShardPlan::new(n, transport.n_shards());
-    let builder = LshIndexBuilder::new(cfg.banding)
-        .seed(cfg.seed ^ 0x4d48_4b4d) // the unsharded fit's decorrelation salt
-        .mode(cfg.query_mode);
-    let params = builder.params();
-    let n_bands = cfg.banding.bands() as usize;
-    let band_keys = parallel::hash_band_keys_parallel(&builder, dataset, cfg.threads);
-
+    let keys = ItemKeys::hash(data, cfg);
+    let family_bands: Vec<u32> = keys
+        .families()
+        .map(|family| family.builder.params().banding.bands())
+        .collect();
     let inits = (0..plan.n_shards())
         .map(|shard| {
             let range = plan.range(shard);
             ShardRequest::Init(ShardInit {
                 k: cfg.k,
                 threads: cfg.threads,
-                gamma: 0.0,
+                gamma: cfg.gamma,
                 closures: cfg.closures,
-                categorical: Some(CatShardInit {
-                    n_attrs: dataset.n_attrs(),
-                    values: flatten_cat_rows(dataset, range.clone()),
-                    params,
-                    band_keys: band_keys[range.start * n_bands..range.end * n_bands].to_vec(),
-                }),
-                numeric: None,
+                categorical: data.categorical().zip(keys.minhash.as_ref()).map(
+                    |(dataset, family)| CatShardInit {
+                        n_attrs: dataset.n_attrs(),
+                        values: flatten_cat_rows(dataset, range.clone()),
+                        params: family.builder.params(),
+                        band_keys: family.items(range.clone()).to_vec(),
+                    },
+                ),
+                numeric: data.numeric().zip(keys.simhash.as_ref()).map(
+                    |(points, (family, mean))| {
+                        let params = family.builder.params();
+                        NumShardInit {
+                            dim: points.dim(),
+                            values: flatten_num_rows(points, range.clone()),
+                            bands: params.banding.bands(),
+                            rows: params.banding.rows(),
+                            seed: params.seed,
+                            mean: mean.clone(),
+                            band_keys: family.items(range.clone()).to_vec(),
+                        }
+                    },
+                ),
             })
         })
         .collect();
+    drop(keys);
     expect_ready(transport.roundtrip(inits)?)?;
 
-    let mut model = KModesModel::new(dataset, modes);
+    let n_digests = family_bands.len();
+    let want_sketch = data.categorical().is_some();
+    let mut model = data.model(centroids, cfg.gamma);
+    assert_eq!(
+        model.k(),
+        cfg.k,
+        "initial centroids disagree with configured k"
+    );
     let mut assignments = vec![ClusterId(0); n];
-    // Setup: distributed full assignment against the initial modes, local
-    // index builds, then the coordinator-side refresh — mirroring the
+    // Setup: distributed full assignment against the initial centroids,
+    // local index builds, then the coordinator-side refresh — mirroring the
     // unsharded fit's setup phase step for step.
     let requests = broadcast(plan.n_shards(), || ShardRequest::AssignFull {
-        centroids: CentroidSet::Modes(model.modes().clone()),
+        centroids: data.broadcast(model.snapshot_centroids()),
     });
-    let (_, digests, sketch) = exchange(transport, &plan, requests, 1, true, &mut assignments)?;
-    sketch.expect("requested").apply(model.modes_mut());
-    let index_stats = digests[0].stats(n, cfg.banding.bands());
-    let setup = setup_start.elapsed();
-
-    let state = RefCell::new(DriveState {
-        digests,
-        sketch: None,
-        error: None,
-    });
-    let state = &state;
-    let run = framework::drive(
-        &mut model,
-        assignments,
-        setup,
-        &cfg.stop,
-        |model, assignments, activity| {
-            let mut st = state.borrow_mut();
-            if st.error.is_some() {
-                return AssignOutcome::default();
-            }
-            let requests = broadcast(plan.n_shards(), || ShardRequest::Pass {
-                centroids: CentroidSet::Modes(model.modes().clone()),
-                digests: st.digests.clone(),
-                active: activity.to_clusters(),
-            });
-            match exchange(transport, &plan, requests, 1, true, assignments) {
-                Ok((outcome, digests, sketch)) => {
-                    st.digests = digests;
-                    st.sketch = sketch;
-                    outcome
-                }
-                Err(e) => {
-                    st.error = Some(e);
-                    AssignOutcome::default()
-                }
-            }
-        },
-        |model, _assignments| {
-            // The merged sketch replays the exact same mode update the
-            // unsharded fit computes, so diffing old vs new modes yields the
-            // same ActivitySet the unsharded `update_centroids` reports.
-            if let Some(sketch) = state.borrow_mut().sketch.take() {
-                let old = model.modes().clone();
-                sketch.apply(model.modes_mut());
-                let mut activity = ActivitySet::none(old.k());
-                for c in 0..old.k() {
-                    if model.modes().mode(c) != old.mode(c) {
-                        activity.mark(ClusterId(c as u32));
-                    }
-                }
-                activity
-            } else {
-                ActivitySet::none(model.k())
-            }
-        },
+    let (_, digests, sketch) = exchange(
+        transport,
+        &plan,
+        requests,
+        n_digests,
+        want_sketch,
+        &mut assignments,
+    )?;
+    D::merged_update(&mut model, sketch.as_ref(), &assignments, cfg.threads);
+    let index_stats = combined_stats(
+        digests
+            .iter()
+            .zip(&family_bands)
+            .map(|(digest, &bands)| digest.stats(n, bands)),
     );
-    if let Some(e) = state.borrow_mut().error.take() {
-        return Err(e);
-    }
-    Ok(MhKModesResult {
-        assignments: run.assignments,
-        modes: model.into_modes(),
-        summary: run.summary,
-        index_stats,
-    })
-}
-
-/// Sharded MH-K-Means from explicit initial centroids — byte-identical to
-/// [`crate::mhkmeans::mh_kmeans_from`] at `threads > 1`. Centroid means are
-/// replayed by the coordinator over the full data (f64 addition is
-/// non-associative; merging per-shard partial sums would drift in the last
-/// bits), which is the same kernel the unsharded fit runs.
-pub fn shard_mh_kmeans_from(
-    data: &NumericDataset,
-    cfg: &MhKMeansConfig,
-    centroids: Vec<f64>,
-    setup_start: Instant,
-    transport: &mut dyn ShardTransport,
-) -> Result<MhKMeansResult, ShardError> {
-    let n = data.n_items();
-    let dim = data.dim();
-    let plan = ShardPlan::new(n, transport.n_shards());
-    let n_bands = cfg.bands as usize;
-    let (band_keys, mean) =
-        SimHashIndex::hash_band_keys(data, cfg.bands, cfg.rows, cfg.seed, cfg.threads);
-
-    let inits = (0..plan.n_shards())
-        .map(|shard| {
-            let range = plan.range(shard);
-            ShardRequest::Init(ShardInit {
-                k: cfg.k,
-                threads: cfg.threads,
-                gamma: 0.0,
-                closures: cfg.closures,
-                categorical: None,
-                numeric: Some(NumShardInit {
-                    dim,
-                    values: flatten_num_rows(data, range.clone()),
-                    bands: cfg.bands,
-                    rows: cfg.rows,
-                    seed: cfg.seed,
-                    mean: mean.clone(),
-                    band_keys: band_keys[range.start * n_bands..range.end * n_bands].to_vec(),
-                }),
-            })
-        })
-        .collect();
-    expect_ready(transport.roundtrip(inits)?)?;
-
-    let mut model = KMeansModel::new(data, centroids, cfg.k);
-    let mut assignments = vec![ClusterId(0); n];
-    let requests = broadcast(plan.n_shards(), || ShardRequest::AssignFull {
-        centroids: means_of(&model, dim),
-    });
-    let (_, digests, _) = exchange(transport, &plan, requests, 1, false, &mut assignments)?;
-    model.update_centroids_parallel(&assignments, cfg.threads);
     let setup = setup_start.elapsed();
 
     let state = RefCell::new(DriveState {
@@ -1598,122 +1380,18 @@ pub fn shard_mh_kmeans_from(
                 return AssignOutcome::default();
             }
             let requests = broadcast(plan.n_shards(), || ShardRequest::Pass {
-                centroids: means_of(model, dim),
+                centroids: data.broadcast(model.snapshot_centroids()),
                 digests: st.digests.clone(),
                 active: activity.to_clusters(),
             });
-            match exchange(transport, &plan, requests, 1, false, assignments) {
-                Ok((outcome, digests, _)) => {
-                    st.digests = digests;
-                    outcome
-                }
-                Err(e) => {
-                    st.error = Some(e);
-                    AssignOutcome::default()
-                }
-            }
-        },
-        |model, assignments| model.update_centroids_parallel(assignments, threads),
-    );
-    if let Some(e) = state.borrow_mut().error.take() {
-        return Err(e);
-    }
-    Ok(MhKMeansResult {
-        assignments: run.assignments,
-        centroids: model.centroids().to_vec(),
-        summary: run.summary,
-    })
-}
-
-/// Sharded MH-K-Prototypes from explicit initial prototypes —
-/// byte-identical to [`crate::mhkprototypes::mh_kprototypes_from`] at
-/// `threads > 1`. Modes come from the merged [`ModeSketch`]; means are
-/// replayed by the coordinator (same f64 rationale as the numeric fit).
-pub fn shard_mh_kprototypes_from(
-    data: &MixedDataset<'_>,
-    cfg: &MhKPrototypesConfig,
-    prototypes: Prototypes,
-    setup_start: Instant,
-    transport: &mut dyn ShardTransport,
-) -> Result<MhKPrototypesResult, ShardError> {
-    assert_eq!(prototypes.k(), cfg.k, "initial prototypes disagree with k");
-    let n = data.n_items();
-    let dim = data.numeric.dim();
-    let plan = ShardPlan::new(n, transport.n_shards());
-    // The unsharded fit's per-index decorrelation salts.
-    let builder = LshIndexBuilder::new(cfg.banding).seed(cfg.seed ^ 0x6d68_6b70);
-    let params = builder.params();
-    let cat_bands = cfg.banding.bands() as usize;
-    let cat_keys = parallel::hash_band_keys_parallel(&builder, data.categorical, cfg.threads);
-    let sim_seed = cfg.seed ^ 0x7368_6b70;
-    let (sim_keys, mean) = SimHashIndex::hash_band_keys(
-        data.numeric,
-        cfg.sim_bands,
-        cfg.sim_rows,
-        sim_seed,
-        cfg.threads,
-    );
-    let sim_bands = cfg.sim_bands as usize;
-
-    let inits = (0..plan.n_shards())
-        .map(|shard| {
-            let range = plan.range(shard);
-            ShardRequest::Init(ShardInit {
-                k: cfg.k,
-                threads: cfg.threads,
-                gamma: cfg.gamma,
-                closures: cfg.closures,
-                categorical: Some(CatShardInit {
-                    n_attrs: data.categorical.n_attrs(),
-                    values: flatten_cat_rows(data.categorical, range.clone()),
-                    params,
-                    band_keys: cat_keys[range.start * cat_bands..range.end * cat_bands].to_vec(),
-                }),
-                numeric: Some(NumShardInit {
-                    dim,
-                    values: flatten_num_rows(data.numeric, range.clone()),
-                    bands: cfg.sim_bands,
-                    rows: cfg.sim_rows,
-                    seed: sim_seed,
-                    mean: mean.clone(),
-                    band_keys: sim_keys[range.start * sim_bands..range.end * sim_bands].to_vec(),
-                }),
-            })
-        })
-        .collect();
-    expect_ready(transport.roundtrip(inits)?)?;
-
-    let mut model = KPrototypesModel::new(data, prototypes, cfg.gamma);
-    let mut assignments = vec![ClusterId(0); n];
-    let requests = broadcast(plan.n_shards(), || ShardRequest::AssignFull {
-        centroids: CentroidSet::Prototypes(model.prototypes().clone()),
-    });
-    let (_, digests, sketch) = exchange(transport, &plan, requests, 2, true, &mut assignments)?;
-    apply_prototype_update(&mut model, &sketch.expect("requested"), &assignments, dim);
-    let setup = setup_start.elapsed();
-
-    let state = RefCell::new(DriveState {
-        digests,
-        sketch: None,
-        error: None,
-    });
-    let state = &state;
-    let run = framework::drive(
-        &mut model,
-        assignments,
-        setup,
-        &cfg.stop,
-        |model, assignments, activity| {
-            let mut st = state.borrow_mut();
-            if st.error.is_some() {
-                return AssignOutcome::default();
-            }
-            let requests = broadcast(plan.n_shards(), || ShardRequest::Pass {
-                centroids: CentroidSet::Prototypes(model.prototypes().clone()),
-                digests: st.digests.clone(),
-                active: activity.to_clusters(),
-            });
-            match exchange(transport, &plan, requests, 2, true, assignments) {
+            match exchange(
+                transport,
+                &plan,
+                requests,
+                n_digests,
+                want_sketch,
+                assignments,
+            ) {
                 Ok((outcome, digests, sketch)) => {
                     st.digests = digests;
                     st.sketch = sketch;
@@ -1726,75 +1404,39 @@ pub fn shard_mh_kprototypes_from(
             }
         },
         |model, assignments| {
-            if let Some(sketch) = state.borrow_mut().sketch.take() {
-                apply_prototype_update(model, &sketch, assignments, dim)
-            } else {
-                ActivitySet::none(model.k())
+            // The merged statistics replay the exact update the unsharded
+            // fit computes, so the activity matches its update's too.
+            let mut st = state.borrow_mut();
+            if st.error.is_some() {
+                return ActivitySet::none(model.k());
             }
+            let sketch = st.sketch.take();
+            D::merged_update(model, sketch.as_ref(), assignments, threads)
         },
     );
     if let Some(e) = state.borrow_mut().error.take() {
         return Err(e);
     }
-    Ok(MhKPrototypesResult {
+    Ok(FitResult {
         assignments: run.assignments,
-        prototypes: model.into_prototypes(),
+        centroids: D::centroids(model),
         summary: run.summary,
+        index_stats,
     })
 }
 
-fn means_of(model: &KMeansModel<'_>, dim: usize) -> CentroidSet {
-    CentroidSet::Means {
-        k: model.k(),
-        dim,
-        values: model.centroids().to_vec(),
-    }
-}
-
-/// The mixed centroid update: modes from the merged sketch, means replayed
-/// over the full data in ascending member order — together bit-identical to
-/// `KPrototypesModel::update_centroids_parallel`. Returns the clusters whose
-/// prototype (mode or mean) actually changed, matching the unsharded
-/// update's ActivitySet exactly since both compare against the same old and
-/// compute the same new values.
-fn apply_prototype_update(
-    model: &mut KPrototypesModel<'_>,
-    sketch: &ModeSketch,
-    assignments: &[ClusterId],
-    dim: usize,
-) -> ActivitySet {
-    let data = model.data_ref();
-    let groups = group_by_cluster(assignments, model.k());
-    let k = model.k();
-    let prototypes = model.prototypes_mut();
-    let old = prototypes.clone();
-    sketch.apply(&mut prototypes.modes);
-    let mut mean = vec![0.0f64; dim];
-    for c in 0..k {
-        let members = groups.members(c);
-        if members.is_empty() {
-            continue; // keep previous mean
-        }
-        mean.iter_mut().for_each(|s| *s = 0.0);
-        for &i in members {
-            for (s, &x) in mean.iter_mut().zip(data.numeric.row(i as usize)) {
-                *s += x;
-            }
-        }
-        for s in &mut mean {
-            *s /= members.len() as f64;
-        }
-        prototypes.means[c * dim..(c + 1) * dim].copy_from_slice(&mean);
-    }
-    let mut activity = ActivitySet::none(k);
-    for c in 0..k {
-        if prototypes.modes.mode(c) != old.modes.mode(c)
-            || prototypes.means[c * dim..(c + 1) * dim] != old.means[c * dim..(c + 1) * dim]
-        {
-            activity.mark(ClusterId(c as u32));
-        }
-    }
-    activity
+/// Sharded MH-K-Modes from explicit initial modes — [`shard_fit`] over a
+/// categorical dataset, byte-identical to
+/// [`crate::mhkmodes::MhKModes::fit_from`] at `threads > 1` with the same
+/// config and modes.
+pub fn shard_mh_kmodes_from(
+    dataset: &Dataset,
+    cfg: &MhKModesConfig,
+    modes: Modes,
+    setup_start: Instant,
+    transport: &mut dyn ShardTransport,
+) -> Result<MhKModesResult, ShardError> {
+    shard_fit(dataset, &cfg.lower(), modes, setup_start, transport).map(MhKModesResult::from)
 }
 
 fn flatten_cat_rows(dataset: &Dataset, range: Range<usize>) -> Vec<ValueId> {
@@ -1816,7 +1458,7 @@ fn flatten_num_rows(data: &NumericDataset, range: Range<usize>) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mhkmodes::{MhKModes, MinHashProvider};
+    use crate::mhkmodes::{KModesModel, MhKModes, MinHashProvider};
     use lshclust_categorical::DatasetBuilder;
     use lshclust_kmodes::init::{initial_modes, InitMethod};
     use lshclust_minhash::Banding;
@@ -1894,7 +1536,7 @@ mod tests {
         assert_eq!(merged.stats(n, 8), global.stats());
 
         // The digest provider's candidate set equals the index shortlist's.
-        let provider = DigestShortlistProvider::new(&merged, n_bands, &keys);
+        let provider = DigestShortlistProvider::new([(&merged, n_bands, &keys[..])]);
         let mut index_provider = MinHashProvider::new(global, 3, true);
         let mut scratch = provider.make_scratch();
         let (mut got, mut want) = (Vec::new(), Vec::new());
@@ -1990,19 +1632,24 @@ mod tests {
 
     #[test]
     fn in_process_sharded_kmeans_is_byte_identical() {
+        use crate::centroid_index::IndexScheme;
+        use crate::modality::fit_full;
         use lshclust_kmodes::kmeans::{kmeans_initial_centroids, KMeansInit};
         let data = blob_numeric(4, 8);
-        let cfg = MhKMeansConfig {
+        let scheme = IndexScheme {
+            minhash: None,
+            simhash: Some((12, 3)),
+        };
+        let cfg = FitParams {
             threads: 2,
-            seed: 3,
-            ..MhKMeansConfig::new(4, 12, 3)
+            ..FitParams::new(4, scheme, 3)
         };
         let start = Instant::now();
         let centroids = kmeans_initial_centroids(&data, cfg.k, KMeansInit::RandomItems, cfg.seed);
-        let unsharded = crate::mhkmeans::mh_kmeans_from(&data, &cfg, centroids.clone(), start);
+        let unsharded = fit_full(&data, &cfg, centroids.clone(), start);
         for shards in [2usize, 3] {
             let mut transport = InProcessTransport::new(shards);
-            let sharded = shard_mh_kmeans_from(
+            let sharded = shard_fit(
                 &data,
                 &cfg,
                 centroids.clone(),
@@ -2012,6 +1659,7 @@ mod tests {
             .unwrap();
             assert_eq!(sharded.assignments, unsharded.assignments);
             assert_eq!(sharded.centroids, unsharded.centroids);
+            assert_eq!(sharded.index_stats, unsharded.index_stats);
         }
     }
 

@@ -7,7 +7,7 @@
 //! pair is pruned without a single distance evaluation. [`CandidatePairs`]
 //! packages that bucket-collision view behind one seam for both index
 //! families — MinHash band keys ([`crate::parallel::hash_band_keys_parallel`])
-//! and SimHash band keys ([`crate::mhkmeans::SimHashIndex::hash_band_keys`])
+//! and SimHash band keys ([`crate::mhkmeans::SimHashIndex::band_keys`])
 //! are the *same* item-major `n × bands` buffer shape, so one bucket fill
 //! serves categorical, numeric and mixed data alike.
 //!
@@ -20,77 +20,46 @@
 //! the frozen buckets, so output is byte-identical at any thread count.
 
 use crate::parallel::chunked_map;
-use lshclust_categorical::{dissimilarity, Dataset};
+use lshclust_categorical::{dissimilarity, ClusterId, Dataset};
 use lshclust_kmodes::kmeans::{sq_euclidean, NumericDataset};
 use lshclust_kmodes::kprototypes::MixedDataset;
-use lshclust_minhash::hashfn::FastMap;
-use lshclust_minhash::index::{ItemScratch, LshIndex};
+use lshclust_minhash::index::{ItemScratch, LshIndex, LshIndexBuilder};
+use lshclust_minhash::Banding;
 
 /// Bucket-collision candidate pairs over a flat item-major band-key buffer —
 /// the public seam every similarity workload (dedup, self-join, streaming
 /// variants) builds on, independent of which index family hashed the keys.
 ///
-/// The buckets are filled walking items in ascending order, so each bucket's
-/// member list is ascending and every derived iteration order is
-/// deterministic.
+/// The buckets are the one LSH bucket store, [`LshIndex`], filled walking
+/// items in ascending order, so each bucket's member list is ascending and
+/// every derived iteration order is deterministic.
 pub struct CandidatePairs {
-    n_items: usize,
-    bands: usize,
-    /// One bucket map per band: band key → colliding item ids (ascending).
-    buckets: Vec<FastMap<u64, Vec<u32>>>,
-    /// The `n_items × bands` item-major key buffer the buckets were built
-    /// from (kept for per-item bucket lookup).
-    band_keys: Vec<u64>,
+    /// Only the buckets are read; every item references cluster 0.
+    index: LshIndex,
 }
 
 impl CandidatePairs {
     /// Builds the bucket view from a flat item-major `n × bands` band-key
     /// buffer — exactly what the parallel hashers emit
     /// ([`crate::parallel::hash_band_keys_parallel`],
-    /// [`crate::mhkmeans::SimHashIndex::hash_band_keys`]).
+    /// [`crate::mhkmeans::SimHashIndex::band_keys`]).
     pub fn from_band_keys(bands: u32, band_keys: Vec<u64>) -> Self {
-        let bands = bands as usize;
         assert!(bands > 0, "at least one band required");
-        assert!(
-            band_keys.len().is_multiple_of(bands),
-            "band-key buffer is not item-major n_items × bands"
-        );
-        let n_items = band_keys.len() / bands;
-        let mut buckets: Vec<FastMap<u64, Vec<u32>>> =
-            (0..bands).map(|_| FastMap::default()).collect();
-        for item in 0..n_items {
-            for (band, bucket) in buckets.iter_mut().enumerate() {
-                let key = band_keys[item * bands + band];
-                bucket.entry(key).or_default().push(item as u32);
-            }
-        }
-        Self {
-            n_items,
-            bands,
-            buckets,
-            band_keys,
-        }
-    }
-
-    /// Borrows the flat key buffer straight out of a fitted item-side
-    /// [`LshIndex`] — dedup over the very index a fit already built.
-    pub fn from_item_index(index: &LshIndex) -> Self {
-        Self::from_band_keys(index.banding().bands(), index.band_keys().to_vec())
+        let n_items = band_keys.len() / bands as usize;
+        // Rows per band do not enter the bucket fill.
+        let index = LshIndexBuilder::new(Banding::new(bands, 1))
+            .build_from_band_keys(band_keys, &vec![ClusterId(0); n_items]);
+        Self { index }
     }
 
     /// Items covered by the bucket view.
     pub fn n_items(&self) -> usize {
-        self.n_items
-    }
-
-    /// Bands per item.
-    pub fn bands(&self) -> usize {
-        self.bands
+        self.index.n_items()
     }
 
     /// A per-thread dedup scratch sized for this buffer.
     pub fn make_scratch(&self) -> ItemScratch {
-        ItemScratch::new(self.n_items)
+        ItemScratch::new(self.n_items())
     }
 
     /// Calls `f` exactly once per distinct item `j < item` sharing at least
@@ -105,38 +74,20 @@ impl CandidatePairs {
         mut f: F,
     ) {
         scratch.begin();
-        let keys = &self.band_keys[item as usize * self.bands..(item as usize + 1) * self.bands];
-        for (band, key) in keys.iter().enumerate() {
-            if let Some(members) = self.buckets[band].get(key) {
-                for &other in members {
-                    // Members are ascending, so everything at or past `item`
-                    // in this bucket is out of range.
-                    if other >= item {
-                        break;
-                    }
-                    if scratch.mark(other) {
-                        f(other);
-                    }
+        let bands = self.index.banding().bands() as usize;
+        let keys = &self.index.band_keys()[item as usize * bands..(item as usize + 1) * bands];
+        for (band, &key) in keys.iter().enumerate() {
+            for &other in self.index.bucket(band, key) {
+                // Members are ascending, so everything at or past `item` in
+                // this bucket is out of range.
+                if other >= item {
+                    break;
+                }
+                if scratch.mark(other) {
+                    f(other);
                 }
             }
         }
-    }
-
-    /// Total distinct unordered candidate pairs, fanned over `threads` — the
-    /// work volume LSH leaves after pruning, against `n·(n−1)/2` brute-force
-    /// pairs.
-    pub fn candidate_pair_count(&self, threads: usize) -> usize {
-        let per_item: Vec<u64> = chunked_map(
-            self.n_items,
-            threads,
-            || self.make_scratch(),
-            |item, scratch| {
-                let mut n = 0u64;
-                self.for_each_candidate_below(item, scratch, |_| n += 1);
-                n
-            },
-        );
-        per_item.iter().map(|&n| n as usize).sum()
     }
 }
 
@@ -380,8 +331,10 @@ mod tests {
         for item in 0..cp.n_items() as u32 {
             cp.for_each_candidate_below(item, &mut scratch, |_| manual += 1);
         }
+        let data = PairData::Categorical(&ds);
         for threads in [1usize, 2, 4] {
-            assert_eq!(cp.candidate_pair_count(threads), manual);
+            let out = verified_pairs(&cp, &data, f64::INFINITY, threads);
+            assert_eq!(out.candidate_pairs, manual);
         }
     }
 

@@ -25,7 +25,8 @@
 use lshclust_categorical::dissimilarity::matching;
 use lshclust_categorical::elements::PresentElements;
 use lshclust_categorical::{ClusterId, Schema, ValueId};
-use lshclust_minhash::hashfn::{FastMap, FastSet, MixHashFamily};
+use lshclust_minhash::hashfn::{FastMap, MixHashFamily};
+use lshclust_minhash::index::{LshIndex, LshIndexBuilder, ShortlistScratch};
 use lshclust_minhash::signature::SignatureGenerator;
 use lshclust_minhash::Banding;
 
@@ -166,20 +167,15 @@ pub struct StreamingMhKModes {
     schema: Schema,
     n_attrs: usize,
     generator: SignatureGenerator<MixHashFamily>,
-    /// One bucket map per band (growing).
-    buckets: Vec<FastMap<u64, Vec<u32>>>,
-    /// Band keys per item, item-major.
-    band_keys: Vec<u64>,
+    /// The growing item index: band keys, buckets and cluster references.
+    index: LshIndex,
     /// Stored rows (needed for refinement and distance updates).
     rows: Vec<ValueId>,
-    cluster_of: Vec<ClusterId>,
     clusters: Vec<ClusterState>,
     // reusable scratch
     sig_buf: Vec<u64>,
     key_buf: Vec<u64>,
-    seen_items: FastSet<u32>,
-    seen_clusters: FastSet<u32>,
-    shortlist: Vec<ClusterId>,
+    scratch: ShortlistScratch,
 }
 
 impl std::fmt::Debug for StreamingMhKModes {
@@ -196,28 +192,24 @@ impl StreamingMhKModes {
     /// Creates an empty streaming clusterer for items under `schema`.
     pub fn new(config: StreamingConfig, schema: Schema) -> Self {
         let family = MixHashFamily::new(config.banding.signature_len(), config.seed);
-        let n_bands = config.banding.bands() as usize;
+        let index = LshIndexBuilder::new(config.banding).build_from_band_keys(Vec::new(), &[]);
         Self {
             config,
             n_attrs: schema.n_attrs(),
             schema,
             generator: SignatureGenerator::new(family),
-            buckets: (0..n_bands).map(|_| FastMap::default()).collect(),
-            band_keys: Vec::new(),
+            index,
             rows: Vec::new(),
-            cluster_of: Vec::new(),
             clusters: Vec::new(),
             sig_buf: Vec::new(),
             key_buf: Vec::new(),
-            seen_items: FastSet::default(),
-            seen_clusters: FastSet::default(),
-            shortlist: Vec::new(),
+            scratch: ShortlistScratch::new(0, 0),
         }
     }
 
     /// Items inserted so far.
     pub fn n_items(&self) -> usize {
-        self.cluster_of.len()
+        self.index.n_items()
     }
 
     /// The schema items are interpreted under.
@@ -250,7 +242,7 @@ impl StreamingMhKModes {
 
     /// Current assignment of every inserted item.
     pub fn assignments(&self) -> &[ClusterId] {
-        &self.cluster_of
+        self.index.clusters()
     }
 
     /// Current mode of cluster `c`.
@@ -271,20 +263,9 @@ impl StreamingMhKModes {
             .band_keys_into(&self.sig_buf, &mut self.key_buf);
     }
 
-    /// Collects the candidate clusters for the band keys in `key_buf`.
-    fn shortlist_from_keys(&mut self) {
-        shortlist_for_keys(
-            &self.buckets,
-            &self.cluster_of,
-            &self.key_buf,
-            &mut self.seen_items,
-            &mut self.seen_clusters,
-            &mut self.shortlist,
-        );
-    }
-
-    fn best_in_shortlist(&self, row: &[ValueId]) -> Option<(ClusterId, u32)> {
-        best_for(&self.clusters, row, &self.shortlist)
+    /// Grows the query scratch with the index and the cluster count.
+    fn fit_scratch(&mut self) {
+        self.scratch.grow(self.n_items(), self.clusters.len());
     }
 
     /// Inserts one item, returning where it went.
@@ -294,10 +275,12 @@ impl StreamingMhKModes {
         assert_eq!(row.len(), self.n_attrs, "row arity mismatch");
         let item = u32::try_from(self.n_items()).expect("stream exceeds u32 items");
         self.compute_band_keys(row);
-        self.shortlist_from_keys();
-        let shortlist_len = self.shortlist.len();
+        self.fit_scratch();
+        self.index
+            .shortlist_for_band_keys(&self.key_buf, &mut self.scratch);
+        let shortlist_len = self.scratch.clusters.len();
 
-        let best = self.best_in_shortlist(row);
+        let best = best_for(&self.clusters, row, &self.scratch.clusters);
         let can_found = self
             .config
             .max_clusters
@@ -317,13 +300,8 @@ impl StreamingMhKModes {
         } else {
             self.clusters[cluster.idx()].add(row);
         }
-        self.cluster_of.push(cluster);
         self.rows.extend_from_slice(row);
-        // Append to the growing index.
-        for (band, &key) in self.key_buf.iter().enumerate() {
-            self.buckets[band].entry(key).or_default().push(item);
-        }
-        self.band_keys.extend_from_slice(&self.key_buf);
+        self.index.push(&self.key_buf, cluster);
 
         InsertOutcome {
             item,
@@ -350,28 +328,19 @@ impl StreamingMhKModes {
         if self.config.threads > 1 {
             return self.refine_pass_parallel(self.config.threads);
         }
-        let n_bands = self.config.banding.bands() as usize;
+        self.fit_scratch();
         let mut moves = 0usize;
         for item in 0..self.n_items() as u32 {
             // Reuse the stored band keys (signatures never change).
-            self.key_buf.clear();
-            let s = item as usize * n_bands;
-            self.key_buf
-                .extend_from_slice(&self.band_keys[s..s + n_bands]);
-            self.shortlist_from_keys();
-            let row_start = item as usize * self.n_attrs;
-            let row_end = row_start + self.n_attrs;
-            let best = {
-                let row = &self.rows[row_start..row_end];
-                self.best_in_shortlist(row)
-            };
+            self.index.shortlist(item, &mut self.scratch, false);
+            let best = best_for(&self.clusters, self.row_of(item), &self.scratch.clusters);
             let Some((best_c, _)) = best else { continue };
-            let current = self.cluster_of[item as usize];
+            let current = self.index.cluster_of(item);
             if best_c != current {
                 let row: Vec<ValueId> = self.row_of(item).to_vec();
                 self.clusters[current.idx()].remove(&row);
                 self.clusters[best_c.idx()].add(&row);
-                self.cluster_of[item as usize] = best_c;
+                self.index.set_cluster(item, best_c);
                 moves += 1;
             }
         }
@@ -393,36 +362,26 @@ impl StreamingMhKModes {
     pub fn refine_pass_parallel(&mut self, threads: usize) -> usize {
         let threads = threads.max(1);
         let n = self.n_items();
-        let n_bands = self.config.banding.bands() as usize;
-        let (buckets, cluster_of) = (&self.buckets, &self.cluster_of);
-        let (clusters, band_keys, rows) = (&self.clusters, &self.band_keys, &self.rows);
+        let (index, clusters, rows) = (&self.index, &self.clusters, &self.rows);
         let n_attrs = self.n_attrs;
         let targets: Vec<u32> = crate::parallel::chunked_map(
             n,
             threads,
-            || (FastSet::default(), FastSet::default(), Vec::new()),
-            |item, (seen_items, seen_clusters, shortlist)| {
+            || index.make_scratch(clusters.len()),
+            |item, scratch| {
+                index.shortlist(item, scratch, false);
                 let i = item as usize;
-                let keys = &band_keys[i * n_bands..(i + 1) * n_bands];
-                shortlist_for_keys(
-                    buckets,
-                    cluster_of,
-                    keys,
-                    seen_items,
-                    seen_clusters,
-                    shortlist,
-                );
                 let row = &rows[i * n_attrs..(i + 1) * n_attrs];
-                match best_for(clusters, row, shortlist) {
+                match best_for(clusters, row, &scratch.clusters) {
                     Some((c, _)) => c.0,
-                    None => cluster_of[i].0,
+                    None => index.cluster_of(item).0,
                 }
             },
         );
         let mut moves = 0usize;
         for (item, &target) in targets.iter().enumerate() {
             let target = ClusterId(target);
-            let current = self.cluster_of[item];
+            let current = self.index.cluster_of(item as u32);
             if target == current {
                 continue;
             }
@@ -442,40 +401,11 @@ impl StreamingMhKModes {
             if d_target < d_current || (d_target == d_current && target < current) {
                 self.clusters[current.idx()].remove(&row);
                 self.clusters[target.idx()].add(&row);
-                self.cluster_of[item] = target;
+                self.index.set_cluster(item as u32, target);
                 moves += 1;
             }
         }
         moves
-    }
-}
-
-/// Read-only shortlist query over the streaming index parts: collects the
-/// distinct clusters of the distinct items in the probed buckets. Shared by
-/// the sequential inserter (through its own scratch fields) and the
-/// per-thread workers of [`StreamingMhKModes::refine_pass_parallel`].
-fn shortlist_for_keys(
-    buckets: &[FastMap<u64, Vec<u32>>],
-    cluster_of: &[ClusterId],
-    keys: &[u64],
-    seen_items: &mut FastSet<u32>,
-    seen_clusters: &mut FastSet<u32>,
-    out: &mut Vec<ClusterId>,
-) {
-    out.clear();
-    seen_items.clear();
-    seen_clusters.clear();
-    for (band, key) in keys.iter().enumerate() {
-        if let Some(members) = buckets[band].get(key) {
-            for &other in members {
-                if seen_items.insert(other) {
-                    let c = cluster_of[other as usize];
-                    if seen_clusters.insert(c.0) {
-                        out.push(c);
-                    }
-                }
-            }
-        }
     }
 }
 

@@ -3,7 +3,8 @@
 //! The paper's real-data experiments (§IV-B) use the Yahoo! Answers Webscope
 //! L6 dataset — questions labelled with one of 2 916 fine-grained,
 //! user-chosen topics. That corpus is proprietary, so this module generates a
-//! statistically analogous one (the substitution is recorded in DESIGN.md §2):
+//! statistically analogous one (the substitution is recorded in
+//! docs/RESULTS.md):
 //!
 //! * each topic owns a small keyword vocabulary (`t{topic}k{rank}`) sampled
 //!   with Zipfian frequencies — the "zoologist/zoo" words TF-IDF should keep;

@@ -12,7 +12,8 @@
 //!   vocabulary, with optional user mislabel noise) for the real-data
 //!   pipeline of §IV-B, whose original corpus is proprietary.
 //!
-//! Both are fully deterministic given their seed, per DESIGN.md §7.
+//! Both are fully deterministic given their seed, per the workspace
+//! determinism policy (docs/ARCHITECTURE.md § Determinism).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

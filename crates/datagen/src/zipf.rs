@@ -3,8 +3,8 @@
 //! Word frequencies in the synthetic corpus follow a Zipf law, the standard
 //! model for natural-language token frequencies. Implemented with a
 //! precomputed cumulative table and binary search (`O(log n)` per draw)
-//! instead of pulling in `rand_distr` — see the dependency justification in
-//! DESIGN.md §3.
+//! instead of pulling in `rand_distr`: the workspace builds offline, on
+//! shims of its few dependencies (README.md § Offline dependency shims).
 
 use rand::rngs::StdRng;
 use rand::RngExt;

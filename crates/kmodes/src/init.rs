@@ -145,7 +145,7 @@ fn cao(dataset: &Dataset, k: usize) -> Modes {
     let first = density
         .iter()
         .enumerate()
-        .max_by(|(ia, a), (ib, b)| a.partial_cmp(b).unwrap().then(ib.cmp(ia)))
+        .max_by(|(ia, a), (ib, b)| a.total_cmp(b).then(ib.cmp(ia)))
         .map(|(i, _)| i as u32)
         .expect("non-empty dataset");
     picks.push(first);
@@ -159,7 +159,7 @@ fn cao(dataset: &Dataset, k: usize) -> Modes {
             .max_by(|&a, &b| {
                 let sa = density[a] * f64::from(min_dist[a]);
                 let sb = density[b] * f64::from(min_dist[b]);
-                sa.partial_cmp(&sb).unwrap().then(b.cmp(&a))
+                sa.total_cmp(&sb).then(b.cmp(&a))
             })
             .expect("k <= n leaves a candidate");
         picks.push(next as u32);

@@ -1,110 +1,18 @@
-//! Mini-batch K-Modes — the categorical adaptation of Sculley's web-scale
-//! mini-batch K-Means (reference \[16\] of the paper's related work).
-//!
-//! Each step samples a batch of `b` items, assigns the whole batch to the
-//! nearest modes **as of the start of the step** (a Jacobi-style batch, so
-//! the result is independent of the order the batch is processed in), and
-//! then nudges only the touched clusters' modes via per-cluster frequency
-//! tables ([`FrequencySketch`]). The per-step cost is `O(b·k·m)` instead of
-//! `O(n·k·m)`, trading assignment completeness for speed — the *orthogonal*
-//! acceleration route to the paper's shortlist idea.
-//!
-//! This module is the dependency-light **full-search baseline**. The
-//! LSH-shortlisted variant — same sampling stream, same sketch, but batch
-//! assignment restricted to clusters whose centroids collide with the item
-//! in an LSH index that is periodically refreshed as the modes drift — lives
-//! in `lshclust_core::minibatch`, wired into the `lshclust` facade as
-//! `Fit::MiniBatch`.
+//! The pieces of mini-batch K-Modes — the categorical adaptation of
+//! Sculley's web-scale mini-batch K-Means (reference \[16\] of the paper's
+//! related work) — that the mini-batch fit of `lshclust_core::minibatch`
+//! builds on: the batch-sampling salt and the per-cluster frequency tables
+//! ([`FrequencySketch`]) through which each absorbed item nudges its
+//! cluster's mode. That fit runs every modality, with full search per
+//! batch item or through an LSH shortlist, and is wired into the `lshclust`
+//! facade as `Fit::MiniBatch`.
 
-use crate::assign::best_cluster_full;
-use crate::init::{initial_modes, InitMethod};
-use crate::modes::Modes;
 use lshclust_categorical::{ClusterId, Dataset, ValueId};
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 use std::collections::HashMap;
-use std::time::Instant;
 
-/// Salt XORed into the seed for batch sampling; shared with the shortlisted
-/// engine in `lshclust_core::minibatch` so both draw identical batches at
-/// equal seeds (the controlled comparison the bench harness relies on).
+/// Salt XORed into the seed for batch sampling, so batches are drawn apart
+/// from initialisation at equal seeds.
 pub const BATCH_SAMPLING_SALT: u64 = 0x6d62_6b6d; // "mbkm"
-
-/// Configuration for mini-batch K-Modes.
-#[derive(Clone, Debug)]
-pub struct MiniBatchConfig {
-    /// Number of clusters.
-    pub k: usize,
-    /// Items sampled per step.
-    pub batch_size: usize,
-    /// Number of mini-batch steps.
-    pub n_steps: usize,
-    /// Centroid initialisation.
-    pub init: InitMethod,
-    /// RNG seed (initialisation and batch sampling).
-    pub seed: u64,
-    /// Whether `n_steps` was set explicitly (builder bookkeeping: a later
-    /// [`Self::batch_size`] call re-derives the heuristic step count unless
-    /// the caller pinned one).
-    steps_explicit: bool,
-}
-
-impl MiniBatchConfig {
-    /// The `10·k / batch_size` step heuristic, floored at 50 steps.
-    pub fn default_n_steps(k: usize, batch_size: usize) -> usize {
-        (10 * k / batch_size.max(1)).max(50)
-    }
-
-    /// Defaults: batch of 256 and the [`Self::default_n_steps`] heuristic.
-    pub fn new(k: usize) -> Self {
-        Self {
-            k,
-            batch_size: 256,
-            n_steps: Self::default_n_steps(k, 256),
-            init: InitMethod::RandomItems,
-            seed: 0,
-            steps_explicit: false,
-        }
-    }
-
-    /// Sets the batch size. Unless [`Self::n_steps`] was called, the step
-    /// count is re-derived from the *new* batch size — previously it stayed
-    /// at the heuristic for the default batch of 256, leaving a stale count.
-    pub fn batch_size(mut self, b: usize) -> Self {
-        assert!(b > 0);
-        self.batch_size = b;
-        if !self.steps_explicit {
-            self.n_steps = Self::default_n_steps(self.k, b);
-        }
-        self
-    }
-
-    /// Sets the number of steps (disables the heuristic).
-    pub fn n_steps(mut self, n: usize) -> Self {
-        self.n_steps = n;
-        self.steps_explicit = true;
-        self
-    }
-
-    /// Sets the seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-}
-
-/// Result of a mini-batch K-Modes run.
-#[derive(Clone, Debug)]
-pub struct MiniBatchResult {
-    /// Final cluster per item (from one final full assignment pass).
-    pub assignments: Vec<ClusterId>,
-    /// Final modes.
-    pub modes: Modes,
-    /// Steps executed.
-    pub n_steps: usize,
-    /// Total wall-clock time (steps + final assignment).
-    pub elapsed: std::time::Duration,
-}
 
 /// One per-(cluster, attribute) count table. Counts only ever increment, so
 /// the running argmax (highest count, ties to the smallest value id) can be
@@ -271,48 +179,6 @@ impl FrequencySketch {
     }
 }
 
-/// Runs mini-batch K-Modes (full search within each batch).
-pub fn minibatch_kmodes(dataset: &Dataset, config: &MiniBatchConfig) -> MiniBatchResult {
-    assert!(config.k > 0 && config.k <= dataset.n_items());
-    let start = Instant::now();
-    let n = dataset.n_items();
-    let b = config.batch_size.min(n);
-    let mut rng = StdRng::seed_from_u64(config.seed ^ BATCH_SAMPLING_SALT);
-    let mut modes = initial_modes(dataset, config.k, config.init, config.seed);
-    let mut sketch = FrequencySketch::for_dataset(config.k, dataset);
-    let mut batch: Vec<u32> = Vec::with_capacity(b);
-    let mut chosen: Vec<ClusterId> = Vec::with_capacity(b);
-
-    for _ in 0..config.n_steps {
-        // Sample, then assign the whole batch against the step's frozen
-        // modes (Jacobi-within-batch: no nudge is visible to a later item of
-        // the same batch, so the step is order- and thread-independent).
-        batch.clear();
-        batch.extend((0..b).map(|_| rng.random_range(0..n) as u32));
-        chosen.clear();
-        chosen.extend(
-            batch
-                .iter()
-                .map(|&item| best_cluster_full(dataset.row(item as usize), &modes).0),
-        );
-        // Apply the nudges in batch order (centre "nudge" per absorbed item).
-        for (&item, &c) in batch.iter().zip(&chosen) {
-            let mode = sketch.absorb(c, dataset.row(item as usize));
-            modes.set_mode(c, mode);
-        }
-    }
-
-    // One final full pass so the result is a complete clustering.
-    let mut assignments = vec![ClusterId(0); n];
-    crate::assign::assign_all_full(dataset, &modes, &mut assignments);
-    MiniBatchResult {
-        assignments,
-        modes,
-        n_steps: config.n_steps,
-        elapsed: start.elapsed(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -336,44 +202,6 @@ mod tests {
             }
         }
         b.finish()
-    }
-
-    #[test]
-    fn separates_blobs() {
-        let ds = blob_dataset(3, 10, 6);
-        let result = minibatch_kmodes(
-            &ds,
-            &MiniBatchConfig::new(3).batch_size(16).n_steps(30).seed(0),
-        );
-        for g in 0..3 {
-            let first = result.assignments[g * 10];
-            for i in 0..10 {
-                assert_eq!(result.assignments[g * 10 + i], first, "blob {g} split");
-            }
-        }
-    }
-
-    #[test]
-    fn deterministic_given_seed() {
-        let ds = blob_dataset(2, 8, 5);
-        let cfg = MiniBatchConfig::new(2).batch_size(8).n_steps(10).seed(7);
-        let a = minibatch_kmodes(&ds, &cfg);
-        let b = minibatch_kmodes(&ds, &cfg);
-        assert_eq!(a.assignments, b.assignments);
-        assert_eq!(a.modes, b.modes);
-    }
-
-    #[test]
-    fn final_assignment_is_consistent_with_modes() {
-        let ds = blob_dataset(2, 6, 4);
-        let result = minibatch_kmodes(
-            &ds,
-            &MiniBatchConfig::new(2).batch_size(4).n_steps(20).seed(3),
-        );
-        for i in 0..ds.n_items() {
-            let (best, _) = best_cluster_full(ds.row(i), &result.modes);
-            assert_eq!(result.assignments[i], best);
-        }
     }
 
     #[test]
@@ -512,40 +340,5 @@ mod tests {
                 b.absorb(c, ds.row(i)).to_vec()
             );
         }
-    }
-
-    #[test]
-    fn handles_batch_larger_than_dataset() {
-        let ds = blob_dataset(2, 3, 4);
-        let result = minibatch_kmodes(
-            &ds,
-            &MiniBatchConfig::new(2).batch_size(100).n_steps(5).seed(2),
-        );
-        assert_eq!(result.assignments.len(), 6);
-    }
-
-    #[test]
-    fn batch_size_rederives_the_step_heuristic() {
-        // The regression this pins: `new` computed the heuristic from the
-        // literal default batch of 256, and a later `batch_size(b)` left
-        // that stale count in place.
-        let small_batch = MiniBatchConfig::new(512).batch_size(8);
-        assert_eq!(
-            small_batch.n_steps,
-            MiniBatchConfig::default_n_steps(512, 8),
-            "step heuristic must follow the actual batch size"
-        );
-        assert_eq!(small_batch.n_steps, 640); // 10·512/8
-        let large_batch = MiniBatchConfig::new(512).batch_size(4096);
-        assert_eq!(large_batch.n_steps, 50); // floor kicks in
-    }
-
-    #[test]
-    fn explicit_n_steps_survives_batch_size_changes() {
-        let cfg = MiniBatchConfig::new(512).n_steps(7).batch_size(8);
-        assert_eq!(cfg.n_steps, 7, "explicit step count must not be clobbered");
-        // Order-independence: setting the batch first changes nothing.
-        let cfg = MiniBatchConfig::new(512).batch_size(8).n_steps(7);
-        assert_eq!(cfg.n_steps, 7);
     }
 }

@@ -4,7 +4,8 @@
 //! cluster's members (paper Eq. 3: the mode minimises the summed matching
 //! dissimilarity `D(X, Q)` iff every component is a most-frequent category).
 //! Ties break towards the smallest [`ValueId`] and empty clusters keep their
-//! previous mode, per the workspace determinism policy (DESIGN.md §7).
+//! previous mode, per the workspace determinism policy
+//! (docs/ARCHITECTURE.md § Determinism).
 
 use lshclust_categorical::{ClusterId, Dataset, ValueId};
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
@@ -192,13 +193,6 @@ impl ClusterGroups {
     pub fn is_empty(&self, c: usize) -> bool {
         self.len(c) == 0
     }
-
-    /// Number of clusters with at least one member.
-    pub fn n_nonempty(&self) -> usize {
-        (0..self.offsets.len() - 1)
-            .filter(|&c| !self.is_empty(c))
-            .count()
-    }
 }
 
 /// Counting sort of item ids by cluster assignment.
@@ -245,7 +239,6 @@ mod tests {
         assert_eq!(g.members(0), &[1]);
         assert_eq!(g.members(1), &[0, 2, 4]);
         assert_eq!(g.members(2), &[3]);
-        assert_eq!(g.n_nonempty(), 3);
     }
 
     #[test]
@@ -253,7 +246,6 @@ mod tests {
         let g = group_by_cluster(&assign(&[0, 0]), 4);
         assert_eq!(g.len(0), 2);
         assert!(g.is_empty(1) && g.is_empty(2) && g.is_empty(3));
-        assert_eq!(g.n_nonempty(), 1);
     }
 
     #[test]

@@ -127,15 +127,6 @@ impl RunSummary {
         self.iterations.iter().map(|s| s.cost).min()
     }
 
-    /// Mean per-iteration duration.
-    pub fn mean_iteration_time(&self) -> Duration {
-        if self.iterations.is_empty() {
-            return Duration::ZERO;
-        }
-        let total: Duration = self.iterations.iter().map(|s| s.duration).sum();
-        total / self.iterations.len() as u32
-    }
-
     /// Total items skipped by the cluster-closure active set across all
     /// iterations (`0` for runs without closures or pre-closure summaries).
     pub fn total_skipped(&self) -> usize {
@@ -169,7 +160,6 @@ mod tests {
         assert_eq!(run.n_iterations(), 2);
         assert_eq!(run.total_time(), Duration::from_millis(200));
         assert_eq!(run.final_cost(), Some(40));
-        assert_eq!(run.mean_iteration_time(), Duration::from_millis(90));
     }
 
     #[test]
@@ -182,7 +172,6 @@ mod tests {
         assert_eq!(run.total_time(), Duration::ZERO);
         assert_eq!(run.final_cost(), None);
         assert_eq!(run.best_cost(), None);
-        assert_eq!(run.mean_iteration_time(), Duration::ZERO);
     }
 
     #[test]

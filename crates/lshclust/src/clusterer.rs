@@ -1,10 +1,13 @@
 //! The unified entry point: [`Clusterer`] dispatches a [`ClusterSpec`] over
-//! the input modality and lowers it onto the per-algorithm internals.
+//! the input modality and lowers it onto one implementation per discipline.
 //!
-//! Lowering is *exact*: at equal seeds, a facade run is byte-identical to
-//! the corresponding legacy entry point (`MhKModes::fit`, `KModes::fit`,
-//! `mh_kmeans`, `mh_kprototypes`, `kmeans`, `kprototypes`) — pinned by
-//! `tests/equivalence.rs`.
+//! The dispatch is written once, generically over core's [`Modality`]
+//! trait: shards, mini-batch, the accelerated full fit or the exact
+//! baseline, warm or cold. A modality adds only what the facade must know
+//! about it (`FitInput`). Lowering is *exact*: at equal seeds, a
+//! facade run is byte-identical to the corresponding per-family entry point
+//! (`MhKModes::fit`, `KModes::fit`, `mh_kmeans`, `mh_kprototypes`,
+//! `kmeans`, `kprototypes`) — pinned by `tests/equivalence.rs`.
 //!
 //! Every fit also produces the serving artifact: the returned
 //! [`ClusterRun`] owns a [`FittedModel`] (centroids + a frozen LSH index
@@ -13,30 +16,25 @@
 
 use crate::model::FittedModel;
 use crate::run::{Centroids, ClusterRun};
-use crate::spec::{categorical_init, numeric_init, ClusterSpec, Fit, Lsh, SpecError};
+use crate::spec::{
+    categorical_init, check_finite, numeric_init, ClusterSpec, Fit, Init, Lsh, SpecError,
+};
 use lshclust_categorical::{ClusterId, Dataset, Schema};
-use lshclust_core::mhkmeans::{mh_kmeans, mh_kmeans_from, MhKMeansConfig};
-use lshclust_core::mhkmodes::{MhKModes, MhKModesConfig};
-use lshclust_core::mhkprototypes::{mh_kprototypes, mh_kprototypes_from, MhKPrototypesConfig};
-use lshclust_core::minibatch::{
-    minibatch_mh_kmeans, minibatch_mh_kmeans_from, minibatch_mh_kmodes, minibatch_mh_kmodes_from,
-    minibatch_mh_kprototypes, minibatch_mh_kprototypes_from, MiniBatchParams, UnionBands,
-};
-use lshclust_core::shard::{
-    shard_mh_kmeans_from, shard_mh_kmodes_from, shard_mh_kprototypes_from, InProcessTransport,
-    ShardError, ShardTransport,
-};
+use lshclust_core::centroid_index::IndexScheme;
+use lshclust_core::minibatch::{minibatch_fit, MiniBatchParams};
+use lshclust_core::modality::{fit_full, FitParams, Modality};
+use lshclust_core::shard::{shard_fit, InProcessTransport, ShardError, ShardTransport};
 use lshclust_core::streaming::{StreamingConfig, StreamingMhKModes};
-use lshclust_kmodes::init::{initial_modes, sample_distinct_items};
+use lshclust_kmodes::init::{initial_modes, sample_distinct_items, InitMethod};
 use lshclust_kmodes::kmeans::{
-    kmeans, kmeans_from, kmeans_initial_centroids, KMeansConfig, NumericDataset,
+    kmeans_from, kmeans_initial_centroids, KMeansConfig, KMeansInit, NumericDataset,
 };
 use lshclust_kmodes::kprototypes::{
-    kprototypes, kprototypes_from, suggest_gamma, KPrototypesConfig, MixedDataset, Prototypes,
+    kprototypes_from, suggest_gamma, KPrototypesConfig, MixedDataset, Prototypes,
 };
 use lshclust_kmodes::modes::Modes;
 use lshclust_kmodes::stats::{IterationStats, RunSummary};
-use lshclust_kmodes::{KModes, KModesConfig, UpdateRule};
+use lshclust_kmodes::{KModes, KModesConfig};
 use lshclust_minhash::Banding;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -150,6 +148,125 @@ pub trait Input {
     ) -> Result<ClusterRun, SpecError>;
 }
 
+/// What the facade adds per modality to core's [`Modality`]: its name, its
+/// initialisation strategies, its warm-start source, its exact baseline and
+/// its served model. Everything else is dispatched once, generically.
+trait FitInput: Modality {
+    /// Modality name for error messages.
+    const NAME: &'static str;
+    /// The modality's initialisation strategy.
+    type Init: Copy;
+
+    /// The spec's strategy, if it applies to this modality.
+    fn init(init: Init) -> Result<Self::Init, SpecError>;
+
+    /// Draws the initial centroids.
+    fn initial(&self, k: usize, init: Self::Init, seed: u64) -> Self::Centroids;
+
+    /// A warm-start model's centroids and γ, checked against this input and
+    /// the spec's `k`.
+    fn warm(
+        &self,
+        model: &FittedModel,
+        k: usize,
+    ) -> Result<(Self::Centroids, Option<f64>), SpecError>;
+
+    /// The mixing weight γ; only mixed inputs weigh a numeric part.
+    fn gamma(&self, _spec: Option<f64>, _warm: Option<f64>) -> f64 {
+        0.0
+    }
+
+    /// The full-search baseline of the family (`Lsh::None`).
+    fn exact(
+        &self,
+        spec: &ClusterSpec,
+        centroids: Self::Centroids,
+        gamma: f64,
+        setup_start: Instant,
+    ) -> (Vec<ClusterId>, Self::Centroids, RunSummary);
+
+    /// The served model over the final centroids, and the run's view of them.
+    fn served(
+        &self,
+        spec: ClusterSpec,
+        centroids: Self::Centroids,
+        gamma: f64,
+    ) -> (FittedModel, Centroids);
+}
+
+impl<D: FitInput> Input for &D {
+    fn fit_spec(
+        self,
+        spec: &ClusterSpec,
+        warm: Option<&FittedModel>,
+        worker_cmd: Option<&str>,
+    ) -> Result<ClusterRun, SpecError> {
+        // One validated boundary, before any work or worker spawn.
+        check_k(spec.k, self.n_items())?;
+        spec.lsh.check_banding()?;
+        if let Some(points) = self.numeric() {
+            check_finite(points)?;
+        }
+        let init = D::init(spec.init)?;
+        let warm = warm.map(|model| self.warm(model, spec.k)).transpose()?;
+        let gamma = self.gamma(spec.gamma, warm.as_ref().and_then(|&(_, g)| g));
+        if spec.shards > 1 {
+            check_shardable(spec)?;
+        }
+        let scheme = scheme_for(self, spec.lsh)?;
+        let setup_start = Instant::now();
+        let centroids = match warm {
+            Some((centroids, _)) => centroids,
+            None => self.initial(spec.k, init, spec.seed),
+        };
+        let cfg = FitParams {
+            k: spec.k,
+            scheme: scheme.unwrap_or_default(),
+            stop: spec.stop,
+            seed: spec.seed,
+            query_mode: spec.query_mode.into(),
+            include_self: spec.include_self,
+            threads: spec.threads.max(1),
+            closures: spec.closures,
+            interleaved: spec.interleaved,
+            gamma,
+        };
+        let (assignments, centroids, summary, index_stats) = if spec.shards > 1 {
+            let fit = run_sharded(spec, worker_cmd, |transport| {
+                shard_fit(self, &cfg, centroids, setup_start, transport)
+            })?;
+            (
+                fit.assignments,
+                fit.centroids,
+                fit.summary,
+                Some(fit.index_stats),
+            )
+        } else if let Some(params) = minibatch_params(spec) {
+            let fit = minibatch_fit(self, &cfg, &params, centroids, setup_start);
+            (fit.assignments, fit.centroids, fit.summary, None)
+        } else if scheme.is_some() {
+            let fit = fit_full(self, &cfg, centroids, setup_start);
+            (
+                fit.assignments,
+                fit.centroids,
+                fit.summary,
+                Some(fit.index_stats),
+            )
+        } else {
+            let (assignments, centroids, summary) = self.exact(spec, centroids, gamma, setup_start);
+            (assignments, centroids, summary, None)
+        };
+        let (model, centroids) = self.served(spec.clone(), centroids, gamma);
+        Ok(ClusterRun {
+            assignments,
+            centroids,
+            summary,
+            index_stats,
+            model,
+        })
+    }
+}
+
 fn check_k(k: usize, n_items: usize) -> Result<(), SpecError> {
     if k == 0 || k > n_items {
         return Err(SpecError::InvalidK { k, n_items });
@@ -170,7 +287,33 @@ fn check_shardable(spec: &ClusterSpec) -> Result<(), SpecError> {
             what: "the exact baselines (Lsh::None)",
         });
     }
+    // The digest-based shortlist always includes an item's own bucket (the
+    // paper's Algorithm 2 behaviour); the ablation has no sharded
+    // equivalent.
+    if !spec.include_self {
+        return Err(SpecError::ShardsUnsupported {
+            what: "the include_self = false ablation",
+        });
+    }
     Ok(())
+}
+
+/// The item-index scheme of `lsh` on `data`, `None` for the exact baseline.
+/// A scheme applies when its families are exactly the input's parts:
+/// MinHash for categorical, SimHash for numeric, both for mixed data.
+fn scheme_for<D: FitInput>(data: &D, lsh: Lsh) -> Result<Option<IndexScheme>, SpecError> {
+    if lsh == Lsh::None {
+        return Ok(None);
+    }
+    let (has_modes, has_means) = (data.categorical().is_some(), data.numeric().is_some());
+    let (minhash, simhash) = lsh.families();
+    if minhash.is_some() != has_modes || simhash.is_some() != has_means {
+        return Err(SpecError::UnsupportedLsh {
+            modality: D::NAME,
+            lsh: lsh.name(),
+        });
+    }
+    Ok(Some(lsh.index_scheme(has_modes, has_means)))
 }
 
 /// Runs a sharded coordinator against the configured transport: worker
@@ -191,10 +334,6 @@ fn run_sharded<R>(
     }
 }
 
-fn warm_mismatch(expected: String, got: String) -> SpecError {
-    SpecError::WarmStartMismatch { expected, got }
-}
-
 /// The mini-batch schedule of a spec, when one is requested.
 fn minibatch_params(spec: &ClusterSpec) -> Option<MiniBatchParams> {
     match spec.fit {
@@ -212,627 +351,202 @@ fn minibatch_params(spec: &ClusterSpec) -> Option<MiniBatchParams> {
     }
 }
 
-/// Validates a warm-start model against a categorical input and clones its
-/// modes as the refit's initial centroids.
-fn categorical_warm(
-    model: &FittedModel,
-    spec: &ClusterSpec,
-    dataset: &Dataset,
-) -> Result<Modes, SpecError> {
-    let modes = model.warm_modes().ok_or_else(|| {
-        warm_mismatch(
-            "a categorical model".to_owned(),
-            format!("a {} model", model.modality()),
-        )
-    })?;
-    if modes.k() != spec.k {
-        return Err(warm_mismatch(
-            format!("k={}", spec.k),
-            format!("k={}", modes.k()),
-        ));
-    }
-    if modes.n_attrs() != dataset.n_attrs() {
-        return Err(warm_mismatch(
-            format!("{} attributes", dataset.n_attrs()),
-            format!("{} attributes", modes.n_attrs()),
-        ));
-    }
-    Ok(modes.clone())
+fn warm_mismatch(expected: String, got: String) -> SpecError {
+    SpecError::WarmStartMismatch { expected, got }
 }
 
-/// Validates a warm-start model against a numeric input and clones its
-/// centroid matrix.
-fn numeric_warm(
-    model: &FittedModel,
-    spec: &ClusterSpec,
-    data: &NumericDataset,
-) -> Result<Vec<f64>, SpecError> {
-    let (dim, centroids) = model.warm_means().ok_or_else(|| {
-        warm_mismatch(
-            "a numeric model".to_owned(),
-            format!("a {} model", model.modality()),
-        )
-    })?;
-    if centroids.len() / dim != spec.k {
-        return Err(warm_mismatch(
-            format!("k={}", spec.k),
-            format!("k={}", centroids.len() / dim),
-        ));
-    }
-    if dim != data.dim() {
-        return Err(warm_mismatch(
-            format!("{} dimensions", data.dim()),
-            format!("{dim} dimensions"),
-        ));
-    }
-    Ok(centroids.to_vec())
+/// The warm-start error for a model of another modality.
+fn wrong_modality<D: FitInput>(model: &FittedModel) -> SpecError {
+    warm_mismatch(
+        format!("a {} model", D::NAME),
+        format!("a {} model", model.modality()),
+    )
 }
 
-/// Validates a warm-start model against a mixed input and rebuilds its
-/// prototypes (returning the model's resolved γ as well).
-fn mixed_warm(
-    model: &FittedModel,
-    spec: &ClusterSpec,
-    data: &MixedDataset<'_>,
-) -> Result<(Prototypes, f64), SpecError> {
-    let (prototypes, gamma) = model.warm_prototypes().ok_or_else(|| {
-        warm_mismatch(
-            "a mixed model".to_owned(),
-            format!("a {} model", model.modality()),
-        )
-    })?;
-    if prototypes.k() != spec.k {
-        return Err(warm_mismatch(
-            format!("k={}", spec.k),
-            format!("k={}", prototypes.k()),
-        ));
+fn check_warm_k(k: usize, got: usize) -> Result<(), SpecError> {
+    if got != k {
+        return Err(warm_mismatch(format!("k={k}"), format!("k={got}")));
     }
-    if prototypes.modes.n_attrs() != data.categorical.n_attrs()
-        || prototypes.dim() != data.numeric.dim()
-    {
-        return Err(warm_mismatch(
-            format!(
-                "{} attributes × {} dimensions",
-                data.categorical.n_attrs(),
-                data.numeric.dim()
-            ),
-            format!(
-                "{} attributes × {} dimensions",
-                prototypes.modes.n_attrs(),
-                prototypes.dim()
-            ),
-        ));
-    }
-    Ok((prototypes, gamma))
+    Ok(())
 }
 
-impl Input for &Dataset {
-    fn fit_spec(
-        self,
+impl FitInput for Dataset {
+    const NAME: &'static str = "categorical";
+    type Init = InitMethod;
+
+    fn init(init: Init) -> Result<InitMethod, SpecError> {
+        categorical_init(init, Self::NAME)
+    }
+
+    fn initial(&self, k: usize, init: InitMethod, seed: u64) -> Modes {
+        initial_modes(self, k, init, seed)
+    }
+
+    fn warm(&self, model: &FittedModel, k: usize) -> Result<(Modes, Option<f64>), SpecError> {
+        let modes = model
+            .warm_modes()
+            .ok_or_else(|| wrong_modality::<Self>(model))?;
+        check_warm_k(k, modes.k())?;
+        if modes.n_attrs() != self.n_attrs() {
+            return Err(warm_mismatch(
+                format!("{} attributes", self.n_attrs()),
+                format!("{} attributes", modes.n_attrs()),
+            ));
+        }
+        Ok((modes.clone(), None))
+    }
+
+    fn exact(
+        &self,
         spec: &ClusterSpec,
-        warm: Option<&FittedModel>,
-        worker_cmd: Option<&str>,
-    ) -> Result<ClusterRun, SpecError> {
-        check_k(spec.k, self.n_items())?;
-        let init = categorical_init(spec.init, "categorical")?;
-        let warm_modes = warm
-            .map(|model| categorical_warm(model, spec, self))
-            .transpose()?;
-        if spec.shards > 1 {
-            check_shardable(spec)?;
-            // The digest-based shortlist always includes an item's own
-            // bucket (the paper's Algorithm 2 behaviour); the ablation has
-            // no sharded equivalent.
-            if !spec.include_self {
-                return Err(SpecError::ShardsUnsupported {
-                    what: "the include_self = false ablation",
-                });
-            }
-            let Lsh::MinHash { bands, rows } = spec.lsh else {
-                return Err(SpecError::UnsupportedLsh {
-                    modality: "categorical",
-                    lsh: spec.lsh.name(),
-                });
-            };
-            let config = MhKModesConfig {
-                k: spec.k,
-                banding: Banding::new(bands, rows),
-                stop: spec.stop,
-                init,
-                seed: spec.seed,
-                query_mode: spec.query_mode.into(),
-                include_self: true,
-                threads: spec.threads.max(1),
-                closures: spec.closures,
-                interleaved: spec.interleaved,
-            };
-            let setup_start = Instant::now();
-            let modes = match warm_modes {
-                Some(modes) => modes,
-                None => initial_modes(self, config.k, config.init, config.seed),
-            };
-            let result = run_sharded(spec, worker_cmd, |transport| {
-                shard_mh_kmodes_from(self, &config, modes, setup_start, transport)
-            })?;
-            let model = FittedModel::categorical(
-                spec.clone(),
-                Arc::clone(self.shared_schema()),
-                result.modes.clone(),
-            );
-            return Ok(ClusterRun {
-                assignments: result.assignments,
-                centroids: Centroids::Modes(result.modes),
-                summary: result.summary,
-                index_stats: Some(result.index_stats),
-                model,
-            });
-        }
-        if let Some(params) = minibatch_params(spec) {
-            let lsh = match spec.lsh {
-                Lsh::None => None,
-                Lsh::MinHash { bands, rows } => Some(Banding::new(bands, rows)),
-                other => {
-                    return Err(SpecError::UnsupportedLsh {
-                        modality: "categorical",
-                        lsh: other.name(),
-                    })
-                }
-            };
-            let threads = spec.threads.max(1);
-            let result = match warm_modes {
-                Some(modes) => minibatch_mh_kmodes_from(
-                    self,
-                    spec.seed,
-                    lsh,
-                    &params,
-                    threads,
-                    modes,
-                    Instant::now(),
-                ),
-                None => minibatch_mh_kmodes(self, spec.k, init, spec.seed, lsh, &params, threads),
-            };
-            let model = FittedModel::categorical(
-                spec.clone(),
-                Arc::clone(self.shared_schema()),
-                result.modes.clone(),
-            );
-            return Ok(ClusterRun {
-                assignments: result.assignments,
-                centroids: Centroids::Modes(result.modes),
-                summary: result.summary,
-                index_stats: None,
-                model,
-            });
-        }
-        match spec.lsh {
-            Lsh::None => {
-                // The exact baseline honours the iteration cap; its loop has
-                // the no-move / cost-stagnation criteria built in.
-                let config = KModesConfig {
-                    k: spec.k,
-                    max_iterations: spec.stop.max_iterations,
-                    init,
-                    seed: spec.seed,
-                    update: UpdateRule::Batch,
-                };
-                let estimator = KModes::new(config);
-                let result = match warm_modes {
-                    Some(modes) => estimator.fit_from(self, modes, Duration::ZERO),
-                    None => estimator.fit(self),
-                };
-                let model = FittedModel::categorical(
-                    spec.clone(),
-                    Arc::clone(self.shared_schema()),
-                    result.modes.clone(),
-                );
-                Ok(ClusterRun {
-                    assignments: result.assignments,
-                    centroids: Centroids::Modes(result.modes),
-                    summary: result.summary,
-                    index_stats: None,
-                    model,
-                })
-            }
-            Lsh::MinHash { bands, rows } => {
-                let config = MhKModesConfig {
-                    k: spec.k,
-                    banding: Banding::new(bands, rows),
-                    stop: spec.stop,
-                    init,
-                    seed: spec.seed,
-                    query_mode: spec.query_mode.into(),
-                    include_self: spec.include_self,
-                    threads: spec.threads.max(1),
-                    closures: spec.closures,
-                    interleaved: spec.interleaved,
-                };
-                let estimator = MhKModes::new(config);
-                let result = match warm_modes {
-                    Some(modes) => estimator.fit_from(self, modes, Instant::now()),
-                    None => estimator.fit(self),
-                };
-                let model = FittedModel::categorical(
-                    spec.clone(),
-                    Arc::clone(self.shared_schema()),
-                    result.modes.clone(),
-                );
-                Ok(ClusterRun {
-                    assignments: result.assignments,
-                    centroids: Centroids::Modes(result.modes),
-                    summary: result.summary,
-                    index_stats: Some(result.index_stats),
-                    model,
-                })
-            }
-            other => Err(SpecError::UnsupportedLsh {
-                modality: "categorical",
-                lsh: other.name(),
-            }),
-        }
+        modes: Modes,
+        _gamma: f64,
+        setup_start: Instant,
+    ) -> (Vec<ClusterId>, Modes, RunSummary) {
+        // The exact baseline honours the iteration cap; its loop has the
+        // no-move / cost-stagnation criteria built in.
+        let config = KModesConfig::new(spec.k)
+            .seed(spec.seed)
+            .max_iterations(spec.stop.max_iterations);
+        let result = KModes::new(config).fit_from(self, modes, setup_start.elapsed());
+        (result.assignments, result.modes, result.summary)
+    }
+
+    fn served(&self, spec: ClusterSpec, modes: Modes, _gamma: f64) -> (FittedModel, Centroids) {
+        let model = FittedModel::categorical(spec, Arc::clone(self.shared_schema()), modes.clone());
+        (model, Centroids::Modes(modes))
     }
 }
 
-impl Input for &NumericDataset {
-    fn fit_spec(
-        self,
+impl FitInput for NumericDataset {
+    const NAME: &'static str = "numeric";
+    type Init = KMeansInit;
+
+    fn init(init: Init) -> Result<KMeansInit, SpecError> {
+        numeric_init(init, Self::NAME)
+    }
+
+    fn initial(&self, k: usize, init: KMeansInit, seed: u64) -> Vec<f64> {
+        kmeans_initial_centroids(self, k, init, seed)
+    }
+
+    fn warm(&self, model: &FittedModel, k: usize) -> Result<(Vec<f64>, Option<f64>), SpecError> {
+        let (dim, centroids) = model
+            .warm_means()
+            .ok_or_else(|| wrong_modality::<Self>(model))?;
+        check_warm_k(k, centroids.len() / dim)?;
+        if dim != self.dim() {
+            return Err(warm_mismatch(
+                format!("{} dimensions", self.dim()),
+                format!("{dim} dimensions"),
+            ));
+        }
+        Ok((centroids.to_vec(), None))
+    }
+
+    fn exact(
+        &self,
         spec: &ClusterSpec,
-        warm: Option<&FittedModel>,
-        worker_cmd: Option<&str>,
-    ) -> Result<ClusterRun, SpecError> {
-        check_k(spec.k, self.n_items())?;
-        let init = numeric_init(spec.init, "numeric")?;
-        let warm_centroids = warm
-            .map(|model| numeric_warm(model, spec, self))
-            .transpose()?;
-        if spec.shards > 1 {
-            check_shardable(spec)?;
-            let Lsh::SimHash { bands, rows } = spec.lsh else {
-                return Err(SpecError::UnsupportedLsh {
-                    modality: "numeric",
-                    lsh: spec.lsh.name(),
-                });
-            };
-            let config = MhKMeansConfig {
-                k: spec.k,
-                bands,
-                rows,
-                stop: spec.stop,
-                init,
-                seed: spec.seed,
-                threads: spec.threads.max(1),
-                closures: spec.closures,
-                interleaved: spec.interleaved,
-            };
-            let setup_start = Instant::now();
-            let centroids = match warm_centroids {
-                Some(centroids) => centroids,
-                None => kmeans_initial_centroids(self, config.k, config.init, config.seed),
-            };
-            let result = run_sharded(spec, worker_cmd, |transport| {
-                shard_mh_kmeans_from(self, &config, centroids, setup_start, transport)
-            })?;
-            let model = FittedModel::numeric(spec.clone(), self.dim(), result.centroids.clone());
-            return Ok(ClusterRun {
-                assignments: result.assignments,
-                centroids: Centroids::Means {
-                    dim: self.dim(),
-                    values: result.centroids,
-                },
-                summary: result.summary,
-                index_stats: None,
-                model,
-            });
-        }
-        if let Some(params) = minibatch_params(spec) {
-            let lsh = match spec.lsh {
-                Lsh::None => None,
-                Lsh::SimHash { bands, rows } => Some((bands, rows)),
-                other => {
-                    return Err(SpecError::UnsupportedLsh {
-                        modality: "numeric",
-                        lsh: other.name(),
-                    })
-                }
-            };
-            let threads = spec.threads.max(1);
-            let result = match warm_centroids {
-                Some(centroids) => minibatch_mh_kmeans_from(
-                    self,
-                    spec.k,
-                    spec.seed,
-                    lsh,
-                    &params,
-                    threads,
-                    centroids,
-                    Instant::now(),
-                ),
-                None => minibatch_mh_kmeans(self, spec.k, init, spec.seed, lsh, &params, threads),
-            };
-            let dim = self.dim();
-            let model = FittedModel::numeric(spec.clone(), dim, result.centroids.clone());
-            return Ok(ClusterRun {
-                assignments: result.assignments,
-                centroids: Centroids::Means {
-                    dim,
-                    values: result.centroids,
-                },
-                summary: result.summary,
-                index_stats: None,
-                model,
-            });
-        }
-        match spec.lsh {
-            Lsh::None => {
-                let config = KMeansConfig {
-                    k: spec.k,
-                    max_iterations: spec.stop.max_iterations,
-                    init,
-                    seed: spec.seed,
-                    tolerance: 1e-9,
-                };
-                let result = match warm_centroids {
-                    Some(centroids) => kmeans_from(self, &config, centroids, Instant::now()),
-                    None => kmeans(self, &config),
-                };
-                let dim = self.dim();
-                let model = FittedModel::numeric(spec.clone(), dim, result.centroids.clone());
-                Ok(ClusterRun {
-                    assignments: result.assignments.into_iter().map(ClusterId).collect(),
-                    centroids: Centroids::Means {
-                        dim,
-                        values: result.centroids,
-                    },
-                    summary: aggregate_summary(
-                        result.n_iterations,
-                        result.converged,
-                        result.elapsed,
-                        spec.k,
-                        result.inertia,
-                    ),
-                    index_stats: None,
-                    model,
-                })
-            }
-            Lsh::SimHash { bands, rows } => {
-                let config = MhKMeansConfig {
-                    k: spec.k,
-                    bands,
-                    rows,
-                    stop: spec.stop,
-                    init,
-                    seed: spec.seed,
-                    threads: spec.threads.max(1),
-                    closures: spec.closures,
-                    interleaved: spec.interleaved,
-                };
-                let result = match warm_centroids {
-                    Some(centroids) => mh_kmeans_from(self, &config, centroids, Instant::now()),
-                    None => mh_kmeans(self, &config),
-                };
-                let model =
-                    FittedModel::numeric(spec.clone(), self.dim(), result.centroids.clone());
-                Ok(ClusterRun {
-                    assignments: result.assignments,
-                    centroids: Centroids::Means {
-                        dim: self.dim(),
-                        values: result.centroids,
-                    },
-                    summary: result.summary,
-                    index_stats: None,
-                    model,
-                })
-            }
-            other => Err(SpecError::UnsupportedLsh {
-                modality: "numeric",
-                lsh: other.name(),
-            }),
-        }
+        centroids: Vec<f64>,
+        _gamma: f64,
+        setup_start: Instant,
+    ) -> (Vec<ClusterId>, Vec<f64>, RunSummary) {
+        let config = KMeansConfig {
+            max_iterations: spec.stop.max_iterations,
+            seed: spec.seed,
+            ..KMeansConfig::new(spec.k)
+        };
+        let result = kmeans_from(self, &config, centroids, setup_start);
+        let summary = aggregate_summary(
+            result.n_iterations,
+            result.converged,
+            result.elapsed,
+            spec.k,
+            result.inertia,
+        );
+        let assignments = result.assignments.into_iter().map(ClusterId).collect();
+        (assignments, result.centroids, summary)
+    }
+
+    fn served(&self, spec: ClusterSpec, values: Vec<f64>, _gamma: f64) -> (FittedModel, Centroids) {
+        let dim = self.dim();
+        let model = FittedModel::numeric(spec, dim, values.clone());
+        (model, Centroids::Means { dim, values })
     }
 }
 
-impl Input for &MixedDataset<'_> {
-    fn fit_spec(
-        self,
-        spec: &ClusterSpec,
-        warm: Option<&FittedModel>,
-        worker_cmd: Option<&str>,
-    ) -> Result<ClusterRun, SpecError> {
-        check_k(spec.k, self.n_items())?;
-        // Both K-Prototypes paths draw initial items directly; only the
-        // paper's random selection applies.
-        if spec.init != crate::spec::Init::RandomItems {
+impl FitInput for MixedDataset<'_> {
+    const NAME: &'static str = "mixed";
+    /// Both K-Prototypes paths draw initial items directly; only the
+    /// paper's random selection applies.
+    type Init = ();
+
+    fn init(init: Init) -> Result<(), SpecError> {
+        if init != Init::RandomItems {
             return Err(SpecError::UnsupportedInit {
-                modality: "mixed",
-                init: spec.init.name(),
+                modality: Self::NAME,
+                init: init.name(),
             });
         }
-        let warm_prototypes = warm
-            .map(|model| mixed_warm(model, spec, self))
-            .transpose()?;
-        // γ precedence: explicit spec value, else the warm model's resolved
-        // weight (refit continuity), else Huang's heuristic on this data.
-        let gamma = spec
-            .gamma
-            .or(warm_prototypes.as_ref().map(|(_, g)| *g))
-            .unwrap_or_else(|| suggest_gamma(self.numeric));
-        if spec.shards > 1 {
-            check_shardable(spec)?;
-            let Lsh::Union {
-                bands,
-                rows,
-                sim_bands,
-                sim_rows,
-            } = spec.lsh
-            else {
-                return Err(SpecError::UnsupportedLsh {
-                    modality: "mixed",
-                    lsh: spec.lsh.name(),
-                });
-            };
-            let config = MhKPrototypesConfig {
-                k: spec.k,
-                gamma,
-                banding: Banding::new(bands, rows),
-                sim_bands,
-                sim_rows,
-                stop: spec.stop,
-                seed: spec.seed,
-                threads: spec.threads.max(1),
-                closures: spec.closures,
-                interleaved: spec.interleaved,
-            };
-            let setup_start = Instant::now();
-            let prototypes = match warm_prototypes {
-                Some((prototypes, _)) => prototypes,
-                None => {
-                    let items = sample_distinct_items(self.n_items(), config.k, config.seed);
-                    Prototypes::from_items(self, &items)
-                }
-            };
-            let result = run_sharded(spec, worker_cmd, |transport| {
-                shard_mh_kprototypes_from(self, &config, prototypes, setup_start, transport)
-            })?;
-            let model = FittedModel::mixed(
-                spec.clone(),
-                Arc::clone(self.categorical.shared_schema()),
-                &result.prototypes,
-                gamma,
-            );
-            return Ok(ClusterRun {
-                assignments: result.assignments,
-                centroids: Centroids::Prototypes(result.prototypes),
-                summary: result.summary,
-                index_stats: None,
-                model,
-            });
+        Ok(())
+    }
+
+    fn initial(&self, k: usize, _init: (), seed: u64) -> Prototypes {
+        Prototypes::from_items(self, &sample_distinct_items(self.n_items(), k, seed))
+    }
+
+    fn warm(&self, model: &FittedModel, k: usize) -> Result<(Prototypes, Option<f64>), SpecError> {
+        let (prototypes, gamma) = model
+            .warm_prototypes()
+            .ok_or_else(|| wrong_modality::<Self>(model))?;
+        check_warm_k(k, prototypes.k())?;
+        let shape = |n_attrs: usize, dim: usize| format!("{n_attrs} attributes × {dim} dimensions");
+        let want = shape(self.categorical.n_attrs(), self.numeric.dim());
+        let got = shape(prototypes.modes.n_attrs(), prototypes.dim());
+        if got != want {
+            return Err(warm_mismatch(want, got));
         }
-        if let Some(params) = minibatch_params(spec) {
-            let lsh = match spec.lsh {
-                Lsh::None => None,
-                Lsh::Union {
-                    bands,
-                    rows,
-                    sim_bands,
-                    sim_rows,
-                } => Some(UnionBands {
-                    banding: Banding::new(bands, rows),
-                    sim_bands,
-                    sim_rows,
-                }),
-                other => {
-                    return Err(SpecError::UnsupportedLsh {
-                        modality: "mixed",
-                        lsh: other.name(),
-                    })
-                }
-            };
-            let threads = spec.threads.max(1);
-            let result = match warm_prototypes {
-                Some((prototypes, _)) => minibatch_mh_kprototypes_from(
-                    self,
-                    gamma,
-                    spec.seed,
-                    lsh,
-                    &params,
-                    threads,
-                    prototypes,
-                    Instant::now(),
-                ),
-                None => {
-                    minibatch_mh_kprototypes(self, spec.k, gamma, spec.seed, lsh, &params, threads)
-                }
-            };
-            let model = FittedModel::mixed(
-                spec.clone(),
-                Arc::clone(self.categorical.shared_schema()),
-                &result.prototypes,
-                gamma,
-            );
-            return Ok(ClusterRun {
-                assignments: result.assignments,
-                centroids: Centroids::Prototypes(result.prototypes),
-                summary: result.summary,
-                index_stats: None,
-                model,
-            });
-        }
-        match spec.lsh {
-            Lsh::None => {
-                let config = KPrototypesConfig {
-                    k: spec.k,
-                    gamma,
-                    max_iterations: spec.stop.max_iterations,
-                    seed: spec.seed,
-                };
-                let result = match warm_prototypes {
-                    Some((prototypes, _)) => {
-                        kprototypes_from(self, &config, prototypes, Instant::now())
-                    }
-                    None => kprototypes(self, &config),
-                };
-                let model = FittedModel::mixed(
-                    spec.clone(),
-                    Arc::clone(self.categorical.shared_schema()),
-                    &result.prototypes,
-                    gamma,
-                );
-                Ok(ClusterRun {
-                    assignments: result.assignments,
-                    centroids: Centroids::Prototypes(result.prototypes),
-                    summary: aggregate_summary(
-                        result.n_iterations,
-                        result.converged,
-                        result.elapsed,
-                        spec.k,
-                        result.cost,
-                    ),
-                    index_stats: None,
-                    model,
-                })
-            }
-            Lsh::Union {
-                bands,
-                rows,
-                sim_bands,
-                sim_rows,
-            } => {
-                let config = MhKPrototypesConfig {
-                    k: spec.k,
-                    gamma,
-                    banding: Banding::new(bands, rows),
-                    sim_bands,
-                    sim_rows,
-                    stop: spec.stop,
-                    seed: spec.seed,
-                    threads: spec.threads.max(1),
-                    closures: spec.closures,
-                    interleaved: spec.interleaved,
-                };
-                let result = match warm_prototypes {
-                    Some((prototypes, _)) => {
-                        mh_kprototypes_from(self, &config, prototypes, Instant::now())
-                    }
-                    None => mh_kprototypes(self, &config),
-                };
-                let model = FittedModel::mixed(
-                    spec.clone(),
-                    Arc::clone(self.categorical.shared_schema()),
-                    &result.prototypes,
-                    gamma,
-                );
-                Ok(ClusterRun {
-                    assignments: result.assignments,
-                    centroids: Centroids::Prototypes(result.prototypes),
-                    summary: result.summary,
-                    index_stats: None,
-                    model,
-                })
-            }
-            other => Err(SpecError::UnsupportedLsh {
-                modality: "mixed",
-                lsh: other.name(),
-            }),
-        }
+        Ok((prototypes, Some(gamma)))
+    }
+
+    /// γ precedence: explicit spec value, else the warm model's resolved
+    /// weight (refit continuity), else Huang's heuristic on this data.
+    fn gamma(&self, spec: Option<f64>, warm: Option<f64>) -> f64 {
+        spec.or(warm).unwrap_or_else(|| suggest_gamma(self.numeric))
+    }
+
+    fn exact(
+        &self,
+        spec: &ClusterSpec,
+        prototypes: Prototypes,
+        gamma: f64,
+        setup_start: Instant,
+    ) -> (Vec<ClusterId>, Prototypes, RunSummary) {
+        let config = KPrototypesConfig {
+            max_iterations: spec.stop.max_iterations,
+            seed: spec.seed,
+            ..KPrototypesConfig::new(spec.k, gamma)
+        };
+        let result = kprototypes_from(self, &config, prototypes, setup_start);
+        let summary = aggregate_summary(
+            result.n_iterations,
+            result.converged,
+            result.elapsed,
+            spec.k,
+            result.cost,
+        );
+        (result.assignments, result.prototypes, summary)
+    }
+
+    fn served(
+        &self,
+        spec: ClusterSpec,
+        prototypes: Prototypes,
+        gamma: f64,
+    ) -> (FittedModel, Centroids) {
+        let schema = Arc::clone(self.categorical.shared_schema());
+        let model = FittedModel::mixed(spec, schema, &prototypes, gamma);
+        (model, Centroids::Prototypes(prototypes))
     }
 }
 

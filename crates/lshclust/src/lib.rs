@@ -120,10 +120,12 @@
 //! assert_eq!(run.assignments.len(), 6);
 //! ```
 //!
-//! The per-algorithm configs in `lshclust-core` / `lshclust-kmodes`
-//! (`MhKModesConfig`, `KModesConfig`, `MhKMeansConfig`, …) remain available
-//! as thin internals that this facade lowers onto, but new code should start
-//! here. The workspace-level picture — crate graph, data flow, the
+//! The facade lowers every spec onto one implementation per discipline in
+//! `lshclust-core` (`modality::fit_full`, `minibatch::minibatch_fit`,
+//! `shard::shard_fit`), written once over the `Modality` trait. The
+//! per-algorithm configs (`MhKModesConfig`, `KModesConfig`,
+//! `MhKMeansConfig`, …) remain available as thin lowerings onto the same
+//! functions, but new code should start here. The workspace-level picture — crate graph, data flow, the
 //! fit-discipline matrix, and the model envelope schema — is documented in
 //! `docs/ARCHITECTURE.md` at the repository root.
 

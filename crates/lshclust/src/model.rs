@@ -512,24 +512,23 @@ impl FittedModel {
     }
 
     /// [`Self::assign`] for the single-item predicts, on this thread's
-    /// reused scratch: it is replaced only by a model with more clusters
-    /// than it was sized for, so a stream of single calls allocates none.
+    /// reused scratch: it is replaced only by a model it does not fit (more
+    /// clusters, or another hash family), so a stream of single calls
+    /// allocates none.
     fn assign_one(
         &self,
         row: Option<&[ValueId]>,
         point: Option<&[f64]>,
     ) -> Result<ClusterId, ModelError> {
         thread_local! {
-            /// The scratch and the cluster count it serves.
-            static SCRATCH: RefCell<(usize, IndexScratch)> = RefCell::default();
+            static SCRATCH: RefCell<IndexScratch> = RefCell::default();
         }
         let Some(index) = &self.index else {
             return self.assign(row, point, &mut IndexScratch::default());
         };
         SCRATCH.with(|cell| {
-            let (capacity, scratch) = &mut *cell.borrow_mut();
-            if *capacity < self.k() {
-                *capacity = self.k();
+            let scratch = &mut *cell.borrow_mut();
+            if !index.fits(scratch) {
                 *scratch = index.scratch();
             }
             self.assign(row, point, scratch)

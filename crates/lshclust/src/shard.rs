@@ -150,7 +150,15 @@ impl Drop for RemoteTransport {
 /// rather than killing the worker. Exposed so tests can loop the exact
 /// wire protocol back without processes.
 pub fn handle_line(slot: &mut Option<ShardWorker>, line: &str) -> String {
-    let reply = match serde_json::from_str::<ShardRequest>(line) {
+    serve_line(slot, line).0
+}
+
+/// [`handle_line`], also telling whether the line was `Shutdown` — from the
+/// one parse of the line.
+fn serve_line(slot: &mut Option<ShardWorker>, line: &str) -> (String, bool) {
+    let request = serde_json::from_str::<ShardRequest>(line);
+    let shutdown = matches!(request, Ok(ShardRequest::Shutdown));
+    let reply = match request {
         Ok(ShardRequest::Init(init)) => match ShardWorker::new(init) {
             Ok(worker) => {
                 *slot = Some(worker);
@@ -172,16 +180,18 @@ pub fn handle_line(slot: &mut Option<ShardWorker>, line: &str) -> String {
             message: format!("invalid request: {}", e.0),
         },
     };
-    serde_json::to_string(&reply).unwrap_or_else(|e| {
+    let line = serde_json::to_string(&reply).unwrap_or_else(|e| {
         format!(
             "{{\"Error\":{{\"message\":\"cannot encode reply: {}\"}}}}",
             e.0
         )
-    })
+    });
+    (line, shutdown)
 }
 
 /// The worker loop behind `cluster shard-worker`: reads one NDJSON request
-/// per line, replies one line, exits on `"Shutdown"` or EOF.
+/// per line, replies one line, exits on `"Shutdown"` or EOF. Each line is
+/// parsed once.
 pub fn run_worker(reader: impl BufRead, mut writer: impl Write) -> std::io::Result<()> {
     let mut slot: Option<ShardWorker> = None;
     for line in reader.lines() {
@@ -189,11 +199,7 @@ pub fn run_worker(reader: impl BufRead, mut writer: impl Write) -> std::io::Resu
         if line.trim().is_empty() {
             continue;
         }
-        let shutting_down = matches!(
-            serde_json::from_str::<ShardRequest>(line.trim()),
-            Ok(ShardRequest::Shutdown)
-        );
-        let reply = handle_line(&mut slot, line.trim());
+        let (reply, shutting_down) = serve_line(&mut slot, line.trim());
         writeln!(writer, "{reply}")?;
         writer.flush()?;
         if shutting_down {

@@ -24,14 +24,14 @@
 
 use crate::envelope;
 use crate::model::ModelError;
-use crate::spec::{Lsh, SpecError};
+use crate::spec::{check_finite, Lsh, SpecError};
 use crate::FittedModel;
 use lshclust_categorical::{dissimilarity, Dataset, Schema, ValueId};
 use lshclust_core::centroid_index::{CentroidIndex, CentroidRows, Salts};
 use lshclust_core::mhkmeans::SimHashIndex;
 use lshclust_core::parallel::{chunked_map, hash_band_keys_parallel};
 use lshclust_core::sim::{
-    brute_force_pairs, concat_band_keys, verified_pairs, CandidatePairs, PairData,
+    brute_force_pairs, concat_band_keys, verified_pairs, CandidatePairs, PairData, VerifiedPairs,
 };
 use lshclust_kmodes::kmeans::{sq_euclidean, NumericDataset};
 use lshclust_kmodes::kprototypes::{suggest_gamma, MixedDataset};
@@ -352,13 +352,8 @@ impl SimInput for NumericDataset {
     fn candidates(&self, spec: &SimSpec) -> Result<CandidatePairs, SpecError> {
         match spec.lsh {
             Lsh::SimHash { bands, rows } => {
-                let (keys, _mean) = SimHashIndex::hash_band_keys(
-                    self,
-                    bands,
-                    rows,
-                    spec.seed ^ SIM_SALTS.simhash,
-                    spec.threads.max(1),
-                );
+                let family = SimHashIndex::new(self, bands, rows, spec.seed ^ SIM_SALTS.simhash);
+                let keys = family.band_keys(self, spec.threads.max(1));
                 Ok(CandidatePairs::from_band_keys(bands, keys))
             }
             other => Err(unsupported("numeric", other)),
@@ -391,13 +386,13 @@ impl SimInput for MixedDataset<'_> {
                 let builder = LshIndexBuilder::new(Banding::new(bands, rows))
                     .seed(spec.seed ^ SIM_SALTS.minhash);
                 let cat_keys = hash_band_keys_parallel(&builder, self.categorical, threads);
-                let (num_keys, _mean) = SimHashIndex::hash_band_keys(
+                let family = SimHashIndex::new(
                     self.numeric,
                     sim_bands,
                     sim_rows,
                     spec.seed ^ SIM_SALTS.simhash,
-                    threads,
                 );
+                let num_keys = family.band_keys(self.numeric, threads);
                 let keys = concat_band_keys(self.n_items(), bands, &cat_keys, sim_bands, &num_keys);
                 Ok(CandidatePairs::from_band_keys(bands + sim_bands, keys))
             }
@@ -431,33 +426,42 @@ impl Sim {
         &self.spec
     }
 
-    /// Rejects a threshold no distance can meet (NaN, or below 0); `+∞`
-    /// stays valid and verifies every candidate.
-    fn check_threshold(&self) -> Result<(), SpecError> {
+    /// The exact-verified candidate pairs of `data`, after one validation
+    /// step: a threshold no distance can meet (NaN, or below 0; `+∞` stays
+    /// valid and verifies every candidate), a hash family with zero bands
+    /// or rows, and a NaN or infinite numeric cell (whose pairs could never
+    /// verify) are typed errors.
+    fn verified<D: SimInput + ?Sized>(&self, data: &D) -> Result<VerifiedPairs, SpecError> {
         let threshold = self.spec.threshold;
         if threshold.is_nan() || threshold < 0.0 {
             return Err(SpecError::InvalidThreshold {
                 threshold: threshold.to_string(),
             });
         }
-        Ok(())
+        self.spec.lsh.check_banding()?;
+        let kernel = data.pair_data(&self.spec);
+        match kernel {
+            PairData::Numeric(points) => check_finite(points)?,
+            PairData::Mixed { data, .. } => check_finite(data.numeric)?,
+            PairData::Categorical(_) => {}
+        }
+        let candidates = data.candidates(&self.spec)?;
+        Ok(verified_pairs(
+            &candidates,
+            &kernel,
+            threshold,
+            self.spec.threads.max(1),
+        ))
     }
 
     /// Near-duplicate detection: every bucket-collision candidate pair is
     /// exact-verified against the threshold; surviving pairs are grouped
     /// into duplicate components (union over pairs) with the smallest item
     /// id as each component's representative. A NaN or negative threshold
-    /// is [`SpecError::InvalidThreshold`].
+    /// is [`SpecError::InvalidThreshold`]; an empty hash family and a
+    /// non-finite numeric cell are typed errors too.
     pub fn dedup<D: SimInput + ?Sized>(&self, data: &D) -> Result<DedupReport, SpecError> {
-        self.check_threshold()?;
-        let candidates = data.candidates(&self.spec)?;
-        let kernel = data.pair_data(&self.spec);
-        let out = verified_pairs(
-            &candidates,
-            &kernel,
-            self.spec.threshold,
-            self.spec.threads.max(1),
-        );
+        let out = self.verified(data)?;
         let n = data.n_items();
         let mut representative: Vec<u32> = (0..n as u32).collect();
         // Union-find with the smallest id as every root: linking the larger
@@ -509,17 +513,10 @@ impl Sim {
     /// Similarity self-join: every exact-verified pair at or under the
     /// threshold, sorted closest-first with `(a, b)` as the deterministic
     /// tie-break, truncated to `max_pairs` when set. A NaN or negative
-    /// threshold is [`SpecError::InvalidThreshold`].
+    /// threshold is [`SpecError::InvalidThreshold`]; an empty hash family
+    /// and a non-finite numeric cell are typed errors too.
     pub fn join<D: SimInput + ?Sized>(&self, data: &D) -> Result<JoinReport, SpecError> {
-        self.check_threshold()?;
-        let candidates = data.candidates(&self.spec)?;
-        let kernel = data.pair_data(&self.spec);
-        let out = verified_pairs(
-            &candidates,
-            &kernel,
-            self.spec.threshold,
-            self.spec.threads.max(1),
-        );
+        let out = self.verified(data)?;
         let matched = out.pairs.len();
         let mut pairs: Vec<PairRecord> = out
             .pairs
@@ -532,8 +529,7 @@ impl Sim {
             .collect();
         pairs.sort_unstable_by(|x, y| {
             x.distance
-                .partial_cmp(&y.distance)
-                .expect("finite distances")
+                .total_cmp(&y.distance)
                 .then(x.a.cmp(&y.a))
                 .then(x.b.cmp(&y.b))
         });
@@ -568,8 +564,7 @@ impl Sim {
             .collect();
         pairs.sort_unstable_by(|x, y| {
             x.distance
-                .partial_cmp(&y.distance)
-                .expect("finite distances")
+                .total_cmp(&y.distance)
                 .then(x.a.cmp(&y.a))
                 .then(x.b.cmp(&y.b))
         });
@@ -607,6 +602,7 @@ impl Sim {
     /// per-node decisions, so the dendrogram is **byte-identical at any
     /// thread count**.
     pub fn hierarchy(&self, model: &FittedModel) -> Result<Dendrogram, SpecError> {
+        self.spec.lsh.check_banding()?;
         let threads = self.spec.threads.max(1);
         let k = model.k();
         match (model.modality(), self.spec.lsh) {

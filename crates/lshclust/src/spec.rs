@@ -3,7 +3,7 @@
 use lshclust_core::centroid_index::IndexScheme;
 use lshclust_core::framework::StopPolicy;
 use lshclust_kmodes::init::InitMethod;
-use lshclust_kmodes::kmeans::KMeansInit;
+use lshclust_kmodes::kmeans::{KMeansInit, NumericDataset};
 use lshclust_minhash::{Banding, QueryMode};
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 use std::fmt;
@@ -69,6 +69,23 @@ impl Lsh {
                 sim_rows,
             } => (Some((bands, rows)), Some((sim_bands, sim_rows))),
         }
+    }
+
+    /// Checks that every hash family of the scheme has positive bands and
+    /// rows — [`SpecError::InvalidBanding`] names the first that does not.
+    pub(crate) fn check_banding(&self) -> Result<(), SpecError> {
+        let (minhash, simhash) = self.families();
+        for (family, banding) in [("MinHash", minhash), ("SimHash", simhash)] {
+            if let Some((bands, rows)) = banding.filter(|&(b, r)| b == 0 || r == 0) {
+                return Err(SpecError::InvalidBanding {
+                    lsh: self.name(),
+                    family,
+                    bands,
+                    rows,
+                });
+            }
+        }
+        Ok(())
     }
 
     /// The centroid-index scheme for centroids with a mode part
@@ -199,13 +216,11 @@ pub enum Fit {
 
 impl Fit {
     /// A mini-batch schedule with the default refresh cadence (8 steps) and
-    /// the `10·k / batch_size` step heuristic floored at 50 steps (the one
-    /// heuristic, shared with the `lshclust_kmodes` baseline so both derive
-    /// identical schedules).
+    /// the `10·k / batch_size` step heuristic, floored at 50 steps.
     pub fn mini_batch(k: usize, batch_size: usize) -> Self {
         Fit::MiniBatch {
             batch_size,
-            n_steps: lshclust_kmodes::minibatch::MiniBatchConfig::default_n_steps(k, batch_size),
+            n_steps: (10 * k / batch_size.max(1)).max(50),
             refresh_every: 8,
         }
     }
@@ -771,6 +786,26 @@ pub enum SpecError {
         /// The offending threshold, as written by `f64`'s `Display`.
         threshold: String,
     },
+    /// A hash family of the LSH scheme has zero bands or zero rows per
+    /// band, so it could hash nothing.
+    InvalidBanding {
+        /// The scheme's name.
+        lsh: &'static str,
+        /// The empty family ("MinHash" or "SimHash").
+        family: &'static str,
+        /// Its bands.
+        bands: u32,
+        /// Its rows per band.
+        rows: u32,
+    },
+    /// A numeric cell of the input is NaN or infinite: no distance to it
+    /// can be compared.
+    NonFinite {
+        /// The item holding it.
+        item: usize,
+        /// Its dimension.
+        dim: usize,
+    },
 }
 
 impl fmt::Display for SpecError {
@@ -800,11 +835,33 @@ impl fmt::Display for SpecError {
             SpecError::InvalidThreshold { threshold } => {
                 write!(f, "threshold {threshold} must be a non-negative number")
             }
+            SpecError::InvalidBanding {
+                lsh,
+                family,
+                bands,
+                rows,
+            } => write!(
+                f,
+                "Lsh::{lsh}: {family} banding {bands}×{rows} needs positive bands and rows"
+            ),
+            SpecError::NonFinite { item, dim } => {
+                write!(f, "item {item} holds a non-finite value in dimension {dim}")
+            }
         }
     }
 }
 
 impl std::error::Error for SpecError {}
+
+/// Rejects the first NaN or infinite cell of `points`.
+pub(crate) fn check_finite(points: &NumericDataset) -> Result<(), SpecError> {
+    for item in 0..points.n_items() {
+        if let Some(dim) = points.row(item).iter().position(|x| !x.is_finite()) {
+            return Err(SpecError::NonFinite { item, dim });
+        }
+    }
+    Ok(())
+}
 
 /// Maps [`Init`] to the categorical strategies; errors on numeric-only ones.
 pub(crate) fn categorical_init(
@@ -947,6 +1004,19 @@ mod tests {
                 },
                 vec!["threshold -1", "non-negative"],
             ),
+            (
+                SpecError::InvalidBanding {
+                    lsh: "Union",
+                    family: "SimHash",
+                    bands: 8,
+                    rows: 0,
+                },
+                vec!["Lsh::Union", "SimHash", "8×0", "positive"],
+            ),
+            (
+                SpecError::NonFinite { item: 17, dim: 3 },
+                vec!["item 17", "dimension 3", "non-finite"],
+            ),
         ];
         for (err, needles) in cases {
             let text = err.to_string();
@@ -1047,6 +1117,17 @@ mod tests {
 
         let back: ClusterSpec = serde_json::from_str(&json).unwrap();
         assert!(back.interleaved);
+    }
+
+    #[test]
+    fn mini_batch_steps_follow_the_batch_size() {
+        let steps = |k, batch| match Fit::mini_batch(k, batch) {
+            Fit::MiniBatch { n_steps, .. } => n_steps,
+            Fit::Full => unreachable!("a mini-batch schedule"),
+        };
+        assert_eq!(steps(512, 8), 640); // 10·512/8
+        assert_eq!(steps(512, 4096), 50); // the floor
+        assert_eq!(steps(512, 0), 5120); // a zero batch counts as one
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! The paper evaluates with **cluster purity** (Figs. 8, 9e); this crate also
 //! provides normalised mutual information and the adjusted Rand index for the
-//! extended analyses in EXPERIMENTS.md. All metrics compare a predicted
+//! `experiments` harness's extended analyses (`docs/RESULTS.md`). All
+//! metrics compare a predicted
 //! cluster id per item against a ground-truth class per item and are
 //! algorithm-agnostic.
 

@@ -261,9 +261,29 @@ impl LshIndex {
         self.cluster_of.copy_from_slice(clusters);
     }
 
-    /// Whether candidate lists are precomputed.
-    pub fn is_precomputed(&self) -> bool {
-        self.candidates.is_some()
+    /// Every item's current cluster reference, in item order.
+    pub fn clusters(&self) -> &[ClusterId] {
+        &self.cluster_of
+    }
+
+    /// Appends one item — hashed by the caller with this index's banding and
+    /// seed — to its band buckets, referencing `cluster`, and returns its id:
+    /// the growing index of a streaming clusterer. A precomputed index
+    /// cannot grow, since its candidate lists are built once.
+    pub fn push(&mut self, band_keys: &[u64], cluster: ClusterId) -> u32 {
+        assert_eq!(
+            band_keys.len(),
+            self.banding.bands() as usize,
+            "item band keys disagree with the index banding"
+        );
+        assert!(self.candidates.is_none(), "a precomputed index cannot grow");
+        let item = u32::try_from(self.n_items()).expect("index exceeds u32 items");
+        for (bucket, &key) in self.buckets.iter_mut().zip(band_keys) {
+            bucket.entry(key).or_default().push(item);
+        }
+        self.band_keys.extend_from_slice(band_keys);
+        self.cluster_of.push(cluster);
+        item
     }
 
     /// Materialises per-item candidate lists (switches to
@@ -397,11 +417,11 @@ impl LshIndex {
         }
     }
 
-    /// Number of distinct candidate items for `item` (diagnostics).
-    pub fn candidate_count(&self, item: u32, scratch: &mut ItemScratch) -> usize {
-        let mut n = 0;
-        self.for_each_candidate_item(item, scratch, |_| n += 1);
-        n
+    /// The members of band `band`'s bucket `key`, ascending (empty when no
+    /// item hashed there).
+    #[inline]
+    pub fn bucket(&self, band: usize, key: u64) -> &[u32] {
+        self.buckets[band].get(&key).map_or(&[], Vec::as_slice)
     }
 
     /// Calls `f` once per bucket: `(band, band key, member item ids)`.
@@ -416,7 +436,7 @@ impl LshIndex {
         }
     }
 
-    /// Index-level statistics for diagnostics and EXPERIMENTS.md.
+    /// Index-level statistics (bucket counts and fill), for diagnostics.
     pub fn stats(&self) -> IndexStats {
         let mut n_buckets = 0usize;
         let mut largest = 0usize;
@@ -526,6 +546,17 @@ impl ShortlistScratch {
         }
     }
 
+    /// Grows the scratch to serve `n_items` items and `n_clusters` clusters
+    /// — the queries of an index that grew since the scratch was made.
+    pub fn grow(&mut self, n_items: usize, n_clusters: usize) {
+        if self.items.stamps.len() < n_items {
+            self.items.stamps.resize(n_items, 0);
+        }
+        if self.cluster_stamps.len() < n_clusters {
+            self.cluster_stamps.resize(n_clusters, 0);
+        }
+    }
+
     #[inline]
     fn begin_clusters(&mut self) {
         self.cluster_generation = self.cluster_generation.wrapping_add(1);
@@ -618,7 +649,6 @@ mod tests {
     fn precomputed_and_scan_agree() {
         let scan = build(QueryMode::ScanBuckets);
         let pre = build(QueryMode::Precomputed);
-        assert!(pre.is_precomputed());
         let mut s1 = scan.make_scratch(4);
         let mut s2 = pre.make_scratch(4);
         for item in 0..4 {
@@ -677,9 +707,13 @@ mod tests {
     fn candidate_count_includes_self() {
         let index = build(QueryMode::ScanBuckets);
         let mut scratch = ItemScratch::new(4);
-        let n = index.candidate_count(3, &mut scratch);
-        assert_eq!(n, 1); // only itself
-        assert!(index.candidate_count(0, &mut scratch) >= 3);
+        let count = |item, scratch: &mut ItemScratch| {
+            let mut n = 0;
+            index.for_each_candidate_item(item, scratch, |_| n += 1);
+            n
+        };
+        assert_eq!(count(3, &mut scratch), 1); // only itself
+        assert!(count(0, &mut scratch) >= 3);
     }
 
     #[test]

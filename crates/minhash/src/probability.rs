@@ -123,7 +123,7 @@ mod tests {
     /// Two printed rows — (b=100, s=0.001) and (b=100, s=0.01) — disagree
     /// with the paper's own formula `1 − (1 − s^r)^b` (the first appears to
     /// have been computed with b=10); they are excluded here and the
-    /// discrepancy is recorded in EXPERIMENTS.md. All other rows of both
+    /// discrepancy is recorded in docs/RESULTS.md. All other rows of both
     /// tables match the formula to print precision.
     const TABLE1: &[(u32, f64, f64, f64)] = &[
         (10, 0.01, 0.09, 0.61),

@@ -24,13 +24,6 @@ pub trait SeedableRng: Sized {
 pub trait Rng {
     /// Next 64 uniformly distributed bits.
     fn next_u64(&mut self) -> u64;
-
-    /// Fills `dest` with independent uniform 64-bit values.
-    fn fill(&mut self, dest: &mut [u64]) {
-        for slot in dest {
-            *slot = self.next_u64();
-        }
-    }
 }
 
 /// Range sampling extensions (blanket-implemented for every [`Rng`]).
@@ -196,15 +189,5 @@ mod tests {
             seen[rng.random_range(0..4usize)] = true;
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn fill_writes_every_slot() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut buf = vec![0u64; 64];
-        rng.fill(&mut buf);
-        assert!(buf.iter().any(|&x| x != 0));
-        let distinct: std::collections::HashSet<_> = buf.iter().collect();
-        assert!(distinct.len() > 60, "values should be essentially unique");
     }
 }

@@ -85,7 +85,7 @@ impl TfIdf {
                 (token.clone(), tf * self.idf(token))
             })
             .collect();
-        scores.sort_by(|(ta, sa), (tb, sb)| sb.partial_cmp(sa).unwrap().then_with(|| ta.cmp(tb)));
+        scores.sort_by(|(ta, sa), (tb, sb)| sb.total_cmp(sa).then_with(|| ta.cmp(tb)));
         scores.truncate(max_words);
         TopicScores { topic, scores }
     }

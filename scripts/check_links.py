@@ -7,6 +7,11 @@ Verifies, for every markdown file passed on the command line:
   * fragment links (`file.md#anchor`, `#anchor`) name a heading that is
     actually present in the target file, using GitHub's slug rules.
 
+and, whatever the arguments, that every `*.md` name a Rust source under
+`crates/`, `tests/` or `examples/` cites (in a comment, a doc string or a
+message it prints) names a file that exists, relative to the repository
+root or to the citing source.
+
 External links (http/https/mailto) are intentionally not fetched — CI must
 stay deterministic and offline-friendly; rot in outbound links is a review
 concern, not a build gate.
@@ -57,6 +62,23 @@ def check_file(md: Path, repo_root: Path) -> list[str]:
     return errors
 
 
+MD_NAME = re.compile(r"(?<![\w./-])([\w./-]*\w\.md)\b")
+SOURCE_DIRS = ("crates", "tests", "examples")
+
+
+def check_sources(repo_root: Path) -> list[str]:
+    errors = []
+    for top in SOURCE_DIRS:
+        for rs in sorted((repo_root / top).rglob("*.rs")):
+            text = rs.read_text(encoding="utf-8")
+            for lineno, line in enumerate(text.splitlines(), 1):
+                for name in MD_NAME.findall(line):
+                    if not ((repo_root / name).exists() or (rs.parent / name).exists()):
+                        where = rs.relative_to(repo_root)
+                        errors.append(f"{where}:{lineno}: cites `{name}` (no such file)")
+    return errors
+
+
 def main(argv: list[str]) -> int:
     if not argv:
         print("usage: check_links.py FILE.md [FILE.md ...]", file=sys.stderr)
@@ -71,9 +93,10 @@ def main(argv: list[str]) -> int:
             continue
         checked += 1
         errors.extend(check_file(md, repo_root))
+    errors.extend(check_sources(repo_root))
     for line in errors:
         print(line, file=sys.stderr)
-    print(f"checked {checked} files: {len(errors)} broken links")
+    print(f"checked {checked} files and the Rust sources: {len(errors)} broken links")
     return 1 if errors else 0
 
 

@@ -1,5 +1,6 @@
-//! Workspace-wide determinism policy (DESIGN.md §7): every experiment is a
-//! pure function of its seed. These tests pin that across crate boundaries.
+//! Workspace-wide determinism policy (docs/ARCHITECTURE.md § Determinism):
+//! every experiment is a pure function of its seed. These tests pin that
+//! across crate boundaries.
 
 use lshclust_core::mhkmodes::{MhKModes, MhKModesConfig};
 use lshclust_datagen::corpus::{CorpusConfig, SyntheticCorpus};

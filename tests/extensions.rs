@@ -9,13 +9,13 @@ use lshclust_core::framework::{fit, CentroidModel, StopPolicy};
 use lshclust_core::mhkmeans::{mh_kmeans, MhKMeansConfig};
 use lshclust_core::mhkmodes::KModesModel;
 use lshclust_core::mhkprototypes::{mh_kprototypes, MhKPrototypesConfig};
+use lshclust_core::minibatch::{minibatch_mh_kmodes, MiniBatchParams};
 use lshclust_core::streaming::{StreamingConfig, StreamingMhKModes};
 use lshclust_datagen::datgen::{generate, DatgenConfig};
 use lshclust_kmodes::assign::assign_all_full;
 use lshclust_kmodes::init::{initial_modes, InitMethod};
 use lshclust_kmodes::kmeans::{kmeans, KMeansConfig, NumericDataset};
 use lshclust_kmodes::kprototypes::{suggest_gamma, MixedDataset};
-use lshclust_kmodes::minibatch::{minibatch_kmodes, MiniBatchConfig};
 use lshclust_metrics::{normalized_mutual_information, purity};
 use lshclust_minhash::Banding;
 
@@ -159,12 +159,14 @@ fn minibatch_quality_close_to_full_batch() {
             .max_iterations(30),
     )
     .fit(&dataset);
-    let mini = minibatch_kmodes(
+    let mini = minibatch_mh_kmodes(
         &dataset,
-        &MiniBatchConfig::new(60)
-            .batch_size(128)
-            .n_steps(40)
-            .seed(59),
+        60,
+        InitMethod::RandomItems,
+        59,
+        None,
+        &MiniBatchParams::new(128, 40),
+        1,
     );
     let fp = purity(&predictions(&full.assignments), &labels);
     let mp = purity(&predictions(&mini.assignments), &labels);
