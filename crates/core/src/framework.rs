@@ -19,6 +19,7 @@
 //! the framework's generality.
 
 use lshclust_categorical::ClusterId;
+use lshclust_kmodes::modes::group_by_cluster;
 use lshclust_kmodes::stats::{IterationStats, RunSummary};
 use std::time::Instant;
 
@@ -43,13 +44,15 @@ pub trait CentroidModel {
     /// Restricted search over `candidates`; `None` iff the slice is empty.
     fn best_among(&self, item: u32, candidates: &[ClusterId]) -> Option<(ClusterId, f64)>;
 
-    /// Recomputes all centroids from `assignments` and reports which
+    /// Recomputes the centroids from `assignments` and reports which
     /// clusters' centroid values actually **changed** — the seed of the next
     /// iteration's [`ActivitySet`]. A cluster whose recomputed centroid
     /// equals its previous value (including empty clusters, which keep their
     /// centroid) must come back inactive, or the closure engine loses its
     /// skipping power; a cluster that changed must come back active, or
-    /// byte-identity breaks.
+    /// byte-identity breaks. The result must equal recomputing every
+    /// cluster; the per-family models get there by recomputing only the
+    /// clusters whose member list changed.
     fn update_centroids(&mut self, assignments: &[ClusterId]) -> ActivitySet;
 
     /// Like [`Self::update_centroids`], but free to fan the recomputation
@@ -209,6 +212,80 @@ impl ActivitySet {
             .filter(|&(_, &a)| a)
             .map(|(c, _)| c as u32)
             .collect()
+    }
+}
+
+/// The assignment vector a model's centroids were last recomputed from: it
+/// makes a centroid update cost what changed. A mode, or a mean summed in
+/// ascending member order, depends only on the cluster's member list, so a
+/// cluster whose member list is unchanged since the last recompute already
+/// holds the value a recompute would give it. Only the clusters an item
+/// left or joined are recomputed, and the result is identical to
+/// recomputing every cluster.
+///
+/// A write to the centroids by any other route (a rollback, a mini-batch
+/// nudge, a merged sketch) must [`Self::forget`] the vector, so that the
+/// next update recomputes every cluster.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct RecomputedFrom(Option<Vec<ClusterId>>);
+
+impl RecomputedFrom {
+    /// Drops the saved vector: the next update recomputes every cluster.
+    pub(crate) fn forget(&mut self) {
+        self.0 = None;
+    }
+
+    /// The update body of every centroid model. Recomputes each non-empty
+    /// cluster whose member list differs from the saved vector's (every
+    /// cluster when none is saved), then saves `assignments`; empty
+    /// clusters keep their centroid. `centroid_of(members, scratch)`
+    /// computes one centroid from its ascending member ids, and
+    /// `store(cluster, centroid)` writes it and says whether its value
+    /// changed. Returns the clusters whose value changed. The recomputation
+    /// fans over `threads` workers with one `scratch()` each; the result
+    /// does not depend on the thread count.
+    pub(crate) fn update<S, T: Clone + Send>(
+        &mut self,
+        assignments: &[ClusterId],
+        k: usize,
+        threads: usize,
+        scratch: impl Fn() -> S + Sync,
+        centroid_of: impl Fn(&[u32], &mut S) -> T + Sync,
+        mut store: impl FnMut(ClusterId, T) -> bool,
+    ) -> ActivitySet {
+        let touched: Vec<u32> = match &self.0 {
+            Some(last) if last.len() == assignments.len() => {
+                let mut moved = vec![false; k];
+                for (&was, &now) in last.iter().zip(assignments) {
+                    if was != now {
+                        moved[was.idx()] = true;
+                        moved[now.idx()] = true;
+                    }
+                }
+                (0..k as u32).filter(|&c| moved[c as usize]).collect()
+            }
+            _ => (0..k as u32).collect(),
+        };
+        let mut activity = ActivitySet::none(k);
+        if !touched.is_empty() {
+            let groups = group_by_cluster(assignments, k);
+            let centroids =
+                crate::parallel::chunked_map(touched.len(), threads, scratch, |j, s| {
+                    let members = groups.members(touched[j as usize] as usize);
+                    (!members.is_empty()).then(|| centroid_of(members, s))
+                });
+            for (&c, centroid) in touched.iter().zip(centroids) {
+                if let Some(centroid) = centroid {
+                    if store(ClusterId(c), centroid) {
+                        activity.mark(ClusterId(c));
+                    }
+                }
+            }
+        }
+        let last = self.0.get_or_insert_with(Vec::new);
+        last.clear();
+        last.extend_from_slice(assignments);
+        activity
     }
 }
 

@@ -15,11 +15,12 @@
 //! framework is algorithm-agnostic.
 
 use crate::centroid_index::IndexScheme;
-use crate::framework::{ActivitySet, CentroidModel, StopPolicy};
+use crate::framework::{ActivitySet, CentroidModel, RecomputedFrom, StopPolicy};
 use crate::modality::{fit_full, FitParams};
 use lshclust_categorical::ClusterId;
-use lshclust_kmodes::kmeans::{kmeans_initial_centroids, sq_euclidean, KMeansInit, NumericDataset};
-use lshclust_kmodes::modes::group_by_cluster;
+use lshclust_kmodes::kmeans::{
+    kmeans_initial_centroids, member_mean, sq_euclidean, KMeansInit, NumericDataset,
+};
 use lshclust_kmodes::stats::RunSummary;
 use lshclust_minhash::index::LshIndexBuilder;
 use lshclust_minhash::simhash::SimHash;
@@ -31,13 +32,19 @@ pub struct KMeansModel<'a> {
     data: &'a NumericDataset,
     centroids: Vec<f64>,
     k: usize,
+    recomputed: RecomputedFrom,
 }
 
 impl<'a> KMeansModel<'a> {
     /// Wraps a dataset and initial centroids (`k × dim`, row-major).
     pub fn new(data: &'a NumericDataset, centroids: Vec<f64>, k: usize) -> Self {
         assert_eq!(centroids.len(), k * data.dim());
-        Self { data, centroids, k }
+        Self {
+            data,
+            centroids,
+            k,
+            recomputed: RecomputedFrom::default(),
+        }
     }
 
     /// The current centroids.
@@ -56,8 +63,10 @@ impl<'a> KMeansModel<'a> {
         self.data
     }
 
-    /// Mutable access to the centroid matrix (mini-batch nudges).
+    /// Mutable access to the centroid matrix (mini-batch nudges); the next
+    /// update recomputes every cluster.
     pub(crate) fn centroids_mut(&mut self) -> &mut [f64] {
+        self.recomputed.forget();
         &mut self.centroids
     }
 
@@ -76,6 +85,7 @@ impl CentroidModel for KMeansModel<'_> {
 
     fn restore_centroids(&mut self, snapshot: Vec<f64>) {
         self.centroids = snapshot;
+        self.recomputed.forget();
     }
 
     fn k(&self) -> usize {
@@ -117,35 +127,7 @@ impl CentroidModel for KMeansModel<'_> {
     }
 
     fn update_centroids(&mut self, assignments: &[ClusterId]) -> ActivitySet {
-        let dim = self.data.dim();
-        let mut sums = vec![0.0f64; self.k * dim];
-        let mut counts = vec![0u32; self.k];
-        for (i, &c) in assignments.iter().enumerate() {
-            counts[c.idx()] += 1;
-            for (s, &x) in sums[c.idx() * dim..(c.idx() + 1) * dim]
-                .iter_mut()
-                .zip(self.data.row(i))
-            {
-                *s += x;
-            }
-        }
-        let mut activity = ActivitySet::none(self.k);
-        for c in 0..self.k {
-            if counts[c] == 0 {
-                continue; // empty cluster keeps its centroid
-            }
-            for d in 0..dim {
-                let new = sums[c * dim + d] / f64::from(counts[c]);
-                // Bit-level comparison: the activity set must flag any change
-                // the distance kernel could observe (±0.0 compares equal but
-                // behaves identically in arithmetic, so `!=` suffices).
-                if self.centroids[c * dim + d] != new {
-                    activity.mark(ClusterId(c as u32));
-                }
-                self.centroids[c * dim + d] = new;
-            }
-        }
-        activity
+        self.update_centroids_parallel(assignments, 1)
     }
 
     fn update_centroids_parallel(
@@ -153,48 +135,24 @@ impl CentroidModel for KMeansModel<'_> {
         assignments: &[ClusterId],
         threads: usize,
     ) -> ActivitySet {
-        if threads <= 1 {
-            return self.update_centroids(assignments);
-        }
-        // Cluster-by-cluster means. Each cluster's member sums accumulate in
-        // ascending item order — the same addition sequence per accumulator
-        // as the serial item-order loop — so the result is bit-identical to
-        // the serial update at any thread count.
-        let dim = self.data.dim();
-        let k = self.k;
-        let groups = group_by_cluster(assignments, k);
         let data = self.data;
-        let new_means: Vec<Option<Vec<f64>>> = crate::parallel::chunked_map(
-            k,
+        let dim = data.dim();
+        let centroids = &mut self.centroids;
+        self.recomputed.update(
+            assignments,
+            self.k,
             threads,
             || (),
-            |c, _| {
-                let members = groups.members(c as usize);
-                if members.is_empty() {
-                    return None; // empty cluster keeps its centroid
-                }
-                let mut sum = vec![0.0f64; dim];
-                for &i in members {
-                    for (s, &x) in sum.iter_mut().zip(data.row(i as usize)) {
-                        *s += x;
-                    }
-                }
-                for s in &mut sum {
-                    *s /= members.len() as f64;
-                }
-                Some(sum)
+            |members, _| member_mean(data, members),
+            |c, mean| {
+                let slot = &mut centroids[c.idx() * dim..(c.idx() + 1) * dim];
+                // `!=` flags any change the distance kernel could observe
+                // (±0.0 compare equal but behave identically in arithmetic).
+                let changed = *slot != mean[..];
+                slot.copy_from_slice(&mean);
+                changed
             },
-        );
-        let mut activity = ActivitySet::none(k);
-        for (c, mean) in new_means.iter().enumerate() {
-            if let Some(mean) = mean {
-                if self.centroids[c * dim..(c + 1) * dim] != mean[..] {
-                    activity.mark(ClusterId(c as u32));
-                }
-                self.centroids[c * dim..(c + 1) * dim].copy_from_slice(mean);
-            }
-        }
-        activity
+        )
     }
 
     fn total_cost(&self, assignments: &[ClusterId]) -> f64 {

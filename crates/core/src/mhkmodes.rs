@@ -16,13 +16,13 @@
 //! shares; this module holds the K-Modes model and the MinHash provider.
 
 use crate::centroid_index::IndexScheme;
-use crate::framework::{ActivitySet, CentroidModel, ShortlistProvider, StopPolicy};
+use crate::framework::{ActivitySet, CentroidModel, RecomputedFrom, ShortlistProvider, StopPolicy};
 use crate::modality::{fit_full, FitParams, FitResult};
-use lshclust_categorical::{ClusterId, Dataset, ValueId};
+use lshclust_categorical::{ClusterId, Dataset};
 use lshclust_kmodes::assign::{best_cluster_among, best_cluster_full};
 use lshclust_kmodes::cost::total_cost;
 use lshclust_kmodes::init::{initial_modes, InitMethod};
-use lshclust_kmodes::modes::{group_by_cluster, Modes};
+use lshclust_kmodes::modes::{Modes, ValueCounts};
 use lshclust_kmodes::stats::RunSummary;
 use lshclust_minhash::index::{IndexStats, LshIndex, ShortlistScratch};
 use lshclust_minhash::{Banding, QueryMode};
@@ -159,13 +159,18 @@ impl MhKModesConfig {
 pub struct KModesModel<'a> {
     dataset: &'a Dataset,
     modes: Modes,
+    recomputed: RecomputedFrom,
 }
 
 impl<'a> KModesModel<'a> {
     /// Wraps a dataset and initial modes.
     pub fn new(dataset: &'a Dataset, modes: Modes) -> Self {
         assert_eq!(dataset.n_attrs(), modes.n_attrs());
-        Self { dataset, modes }
+        Self {
+            dataset,
+            modes,
+            recomputed: RecomputedFrom::default(),
+        }
     }
 
     /// The current modes.
@@ -184,8 +189,10 @@ impl<'a> KModesModel<'a> {
         self.dataset
     }
 
-    /// Mutable access to the modes (mini-batch nudges).
+    /// Mutable access to the modes (mini-batch nudges); the next update
+    /// recomputes every cluster.
     pub(crate) fn modes_mut(&mut self) -> &mut Modes {
+        self.recomputed.forget();
         &mut self.modes
     }
 }
@@ -199,6 +206,7 @@ impl CentroidModel for KModesModel<'_> {
 
     fn restore_centroids(&mut self, snapshot: Modes) {
         self.modes = snapshot;
+        self.recomputed.forget();
     }
 
     fn k(&self) -> usize {
@@ -220,15 +228,7 @@ impl CentroidModel for KModesModel<'_> {
     }
 
     fn update_centroids(&mut self, assignments: &[ClusterId]) -> ActivitySet {
-        let old = self.modes.clone();
-        self.modes.recompute(self.dataset, assignments);
-        let mut activity = ActivitySet::none(self.k());
-        for c in 0..self.k() {
-            if self.modes.mode(c) != old.mode(c) {
-                activity.mark(ClusterId(c as u32));
-            }
-        }
-        activity
+        self.update_centroids_parallel(assignments, 1)
     }
 
     fn update_centroids_parallel(
@@ -236,38 +236,24 @@ impl CentroidModel for KModesModel<'_> {
         assignments: &[ClusterId],
         threads: usize,
     ) -> ActivitySet {
-        if threads <= 1 {
-            return self.update_centroids(assignments);
-        }
-        // Cluster-by-cluster recomputation through the same kernel as the
-        // serial path — bit-identical at any thread count.
-        let k = self.k();
-        let groups = group_by_cluster(assignments, k);
         let dataset = self.dataset;
-        let new_modes: Vec<Option<Vec<ValueId>>> = crate::parallel::chunked_map(
-            k,
+        let modes = &mut self.modes;
+        self.recomputed.update(
+            assignments,
+            modes.k(),
             threads,
-            Vec::new,
-            |c, counts: &mut Vec<(ValueId, u32)>| {
-                let members = groups.members(c as usize);
-                if members.is_empty() {
-                    return None; // keep previous mode
-                }
+            ValueCounts::default,
+            |members, counts| {
                 let mut mode = Vec::with_capacity(dataset.n_attrs());
                 Modes::mode_of_members(dataset, members, counts, &mut mode);
-                Some(mode)
+                mode
             },
-        );
-        let mut activity = ActivitySet::none(k);
-        for (c, mode) in new_modes.iter().enumerate() {
-            if let Some(mode) = mode {
-                if self.modes.mode(c) != mode.as_slice() {
-                    activity.mark(ClusterId(c as u32));
-                }
-                self.modes.set_mode(ClusterId(c as u32), mode);
-            }
-        }
-        activity
+            |c, mode| {
+                let changed = modes.of(c) != mode.as_slice();
+                modes.set_mode(c, &mode);
+                changed
+            },
+        )
     }
 
     fn total_cost(&self, assignments: &[ClusterId]) -> f64 {
@@ -576,5 +562,26 @@ mod tests {
             .seed(1);
         let result = MhKModes::new(cfg).fit(&ds);
         assert_eq!(result.summary.n_iterations(), 1);
+    }
+
+    #[test]
+    fn an_update_recomputes_only_touched_clusters() {
+        let ds = blob_dataset(3, 4, 5);
+        let mut model = KModesModel::new(&ds, Modes::from_items(&ds, &[0, 4, 8]));
+        let assignments: Vec<ClusterId> = (0..12).map(|i| ClusterId(i / 4)).collect();
+        let mut full = Modes::from_items(&ds, &[0, 4, 8]);
+        full.recompute(&ds, &assignments);
+        model.update_centroids(&assignments);
+        assert_eq!(model.modes(), &full);
+        // A mode overwritten behind the saved vector's back is not looked
+        // at again while its member list stays the same.
+        let stale = ds.row(11).to_vec();
+        model.modes.set_mode(ClusterId(0), &stale);
+        assert_eq!(model.update_centroids(&assignments).count(), 0);
+        assert_eq!(model.modes().mode(0), &stale[..]);
+        // Through the nudge accessor, the next update recomputes it.
+        model.modes_mut();
+        assert_eq!(model.update_centroids(&assignments).to_clusters(), vec![0]);
+        assert_eq!(model.modes(), &full);
     }
 }

@@ -14,11 +14,12 @@
 //! The fit loop is the unchanged [`crate::modality::fit_full`].
 
 use crate::centroid_index::IndexScheme;
-use crate::framework::{ActivitySet, CentroidModel, ShortlistProvider, StopPolicy};
+use crate::framework::{ActivitySet, CentroidModel, RecomputedFrom, ShortlistProvider, StopPolicy};
 use crate::modality::{fit_full, FitParams};
-use lshclust_categorical::{ClusterId, ValueId};
+use lshclust_categorical::ClusterId;
+use lshclust_kmodes::kmeans::member_mean;
 use lshclust_kmodes::kprototypes::{MixedDataset, Prototypes};
-use lshclust_kmodes::modes::{group_by_cluster, Modes};
+use lshclust_kmodes::modes::{Modes, ValueCounts};
 use lshclust_kmodes::stats::RunSummary;
 use lshclust_minhash::Banding;
 use std::time::Instant;
@@ -28,6 +29,7 @@ pub struct KPrototypesModel<'a> {
     data: &'a MixedDataset<'a>,
     prototypes: Prototypes,
     gamma: f64,
+    recomputed: RecomputedFrom,
 }
 
 impl<'a> KPrototypesModel<'a> {
@@ -37,6 +39,7 @@ impl<'a> KPrototypesModel<'a> {
             data,
             prototypes,
             gamma,
+            recomputed: RecomputedFrom::default(),
         }
     }
 
@@ -56,8 +59,10 @@ impl<'a> KPrototypesModel<'a> {
         self.data
     }
 
-    /// Mutable access to the prototypes (mini-batch nudges).
+    /// Mutable access to the prototypes (mini-batch nudges); the next
+    /// update recomputes every cluster.
     pub(crate) fn prototypes_mut(&mut self) -> &mut Prototypes {
+        self.recomputed.forget();
         &mut self.prototypes
     }
 }
@@ -71,6 +76,7 @@ impl CentroidModel for KPrototypesModel<'_> {
 
     fn restore_centroids(&mut self, snapshot: Prototypes) {
         self.prototypes = snapshot;
+        self.recomputed.forget();
     }
 
     fn k(&self) -> usize {
@@ -114,20 +120,7 @@ impl CentroidModel for KPrototypesModel<'_> {
     }
 
     fn update_centroids(&mut self, assignments: &[ClusterId]) -> ActivitySet {
-        let old = self.prototypes.clone();
-        self.prototypes.recompute(self.data, assignments);
-        let k = self.k();
-        let dim = self.prototypes.dim();
-        let mut activity = ActivitySet::none(k);
-        for c in 0..k {
-            if self.prototypes.modes.mode(c) != old.modes.mode(c)
-                || self.prototypes.means[c * dim..(c + 1) * dim]
-                    != old.means[c * dim..(c + 1) * dim]
-            {
-                activity.mark(ClusterId(c as u32));
-            }
-        }
-        activity
+        self.update_centroids_parallel(assignments, 1)
     }
 
     fn update_centroids_parallel(
@@ -135,52 +128,27 @@ impl CentroidModel for KPrototypesModel<'_> {
         assignments: &[ClusterId],
         threads: usize,
     ) -> ActivitySet {
-        if threads <= 1 {
-            return self.update_centroids(assignments);
-        }
-        // Cluster-by-cluster mode + mean recomputation through the same
-        // kernels as the serial path (CSR member order) — bit-identical to
-        // the serial update at any thread count.
-        let k = self.k();
-        let dim = self.prototypes.dim();
-        let n_attrs = self.prototypes.modes.n_attrs();
-        let groups = group_by_cluster(assignments, k);
         let data = self.data;
-        let new: Vec<Option<(Vec<ValueId>, Vec<f64>)>> = crate::parallel::chunked_map(
-            k,
+        let prototypes = &mut self.prototypes;
+        let dim = prototypes.dim();
+        self.recomputed.update(
+            assignments,
+            prototypes.k(),
             threads,
-            Vec::new,
-            |c, counts: &mut Vec<(ValueId, u32)>| {
-                let members = groups.members(c as usize);
-                if members.is_empty() {
-                    return None; // keep previous prototype
-                }
-                let mut mode = Vec::with_capacity(n_attrs);
+            ValueCounts::default,
+            |members, counts| {
+                let mut mode = Vec::with_capacity(data.categorical.n_attrs());
                 Modes::mode_of_members(data.categorical, members, counts, &mut mode);
-                let mut mean = vec![0.0f64; dim];
-                for &i in members {
-                    for (s, &x) in mean.iter_mut().zip(data.numeric.row(i as usize)) {
-                        *s += x;
-                    }
-                }
-                for s in &mut mean {
-                    *s /= members.len() as f64;
-                }
-                Some((mode, mean))
+                (mode, member_mean(data.numeric, members))
             },
-        );
-        let mut activity = ActivitySet::none(k);
-        for (c, update) in new.iter().enumerate() {
-            let Some((mode, mean)) = update else { continue };
-            if self.prototypes.modes.mode(c) != mode.as_slice()
-                || self.prototypes.means[c * dim..(c + 1) * dim] != mean[..]
-            {
-                activity.mark(ClusterId(c as u32));
-            }
-            self.prototypes.modes.set_mode(ClusterId(c as u32), mode);
-            self.prototypes.means[c * dim..(c + 1) * dim].copy_from_slice(mean);
-        }
-        activity
+            |c, (mode, mean)| {
+                let slot = &mut prototypes.means[c.idx() * dim..(c.idx() + 1) * dim];
+                let changed = prototypes.modes.of(c) != mode.as_slice() || *slot != mean[..];
+                slot.copy_from_slice(&mean);
+                prototypes.modes.set_mode(c, &mode);
+                changed
+            },
+        )
     }
 
     fn total_cost(&self, assignments: &[ClusterId]) -> f64 {

@@ -24,7 +24,7 @@ use crate::minibatch::MiniBatchModel;
 use crate::parallel::{self, hash_band_keys_parallel, SyncShortlistProvider};
 use crate::shard::{CentroidSet, ModeSketch, ShardError};
 use lshclust_categorical::{ClusterId, Dataset};
-use lshclust_kmodes::kmeans::NumericDataset;
+use lshclust_kmodes::kmeans::{member_mean, NumericDataset};
 use lshclust_kmodes::kprototypes::{MixedDataset, Prototypes};
 use lshclust_kmodes::modes::{group_by_cluster, Modes};
 use lshclust_kmodes::stats::RunSummary;
@@ -310,22 +310,12 @@ impl<'m> Modality for MixedDataset<'m> {
         sketch
             .expect("mixed updates carry a sketch")
             .apply(&mut prototypes.modes);
-        let mut mean = vec![0.0f64; dim];
         for c in 0..k {
             let members = groups.members(c);
-            if members.is_empty() {
-                continue; // keep previous mean
+            if !members.is_empty() {
+                let mean = member_mean(data.numeric, members);
+                prototypes.means[c * dim..(c + 1) * dim].copy_from_slice(&mean);
             }
-            mean.iter_mut().for_each(|s| *s = 0.0);
-            for &i in members {
-                for (s, &x) in mean.iter_mut().zip(data.numeric.row(i as usize)) {
-                    *s += x;
-                }
-            }
-            for s in &mut mean {
-                *s /= members.len() as f64;
-            }
-            prototypes.means[c * dim..(c + 1) * dim].copy_from_slice(&mean);
         }
         let mut activity = ActivitySet::none(k);
         for c in 0..k {
@@ -563,5 +553,130 @@ pub fn fit_full<D: Modality>(
         centroids: D::centroids(model),
         summary: run.summary,
         index_stats,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::minibatch::MiniBatchModel;
+    use lshclust_categorical::{Schema, ValueId};
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+    use std::fmt::Debug;
+
+    const N: usize = 60;
+    const K: usize = 6;
+    const ITEMS: [u32; K] = [0, 1, 2, 3, 4, 5];
+
+    /// Three-value domains, so that modes tie and flip often.
+    fn categorical(seed: u64) -> Dataset {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let values = (0..N * 4)
+            .map(|_| ValueId(rng.random_range(0..3u32)))
+            .collect();
+        Dataset::from_parts(Schema::anonymous(4), values, None)
+    }
+
+    fn numeric(seed: u64) -> NumericDataset {
+        let mut rng = StdRng::seed_from_u64(seed);
+        NumericDataset::new(3, (0..N * 3).map(|_| rng.random_range(-2.0..2.0)).collect())
+    }
+
+    fn means(data: &NumericDataset) -> Vec<f64> {
+        ITEMS
+            .iter()
+            .flat_map(|&i| data.row(i as usize).to_vec())
+            .collect()
+    }
+
+    /// Drives a model through random assignment vectors — clusters emptied
+    /// and refilled, rollbacks, nudges, unchanged passes — updating at
+    /// `threads`, and checks every update against a fresh model's full
+    /// recompute from the same centroids, serially.
+    fn touched_update_is_a_full_recompute<D: Modality>(data: &D, initial: D::Centroids, seed: u64)
+    where
+        D::Centroids: PartialEq + Debug,
+    {
+        for threads in [1, 2] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut model = data.model(initial.clone(), 0.5);
+            let mut sketch = model.make_sketch();
+            let mut assignments: Vec<ClusterId> =
+                (0..N).map(|i| ClusterId((i % K) as u32)).collect();
+            let mut saved = None;
+            let cluster = |rng: &mut StdRng| ClusterId(rng.random_range(0..K as u32));
+            for step in 0..80 {
+                match rng.random_range(0..8) {
+                    0 => {
+                        let (from, to) = (cluster(&mut rng), cluster(&mut rng));
+                        for a in assignments.iter_mut().filter(|a| **a == from) {
+                            *a = to;
+                        }
+                    }
+                    1 => {
+                        let c = cluster(&mut rng);
+                        let start = rng.random_range(0..N);
+                        assignments[start..(start + 12).min(N)].fill(c);
+                    }
+                    2 => {
+                        if let Some(snapshot) = saved.take() {
+                            model.restore_centroids(snapshot);
+                        }
+                    }
+                    3 => {
+                        let item = rng.random_range(0..N as u32);
+                        let c = cluster(&mut rng);
+                        model.absorb(&mut sketch, item, c);
+                    }
+                    4 => {}
+                    _ => {
+                        for _ in 0..rng.random_range(1..4) {
+                            let i = rng.random_range(0..N);
+                            assignments[i] = cluster(&mut rng);
+                        }
+                    }
+                }
+                if rng.random_range(0..4) == 0 {
+                    saved = Some(model.snapshot_centroids());
+                }
+                let mut fresh = data.model(model.snapshot_centroids(), 0.5);
+                let want = fresh.update_centroids(&assignments);
+                let got = model.update_centroids_parallel(&assignments, threads);
+                assert_eq!(got, want, "threads {threads}, step {step}: activity");
+                assert_eq!(
+                    model.snapshot_centroids(),
+                    fresh.snapshot_centroids(),
+                    "threads {threads}, step {step}: centroids"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn touched_mode_update_is_a_full_recompute() {
+        for seed in 0..4 {
+            let data = categorical(seed);
+            let modes = Modes::from_items(&data, &ITEMS);
+            touched_update_is_a_full_recompute(&data, modes, seed);
+        }
+    }
+
+    #[test]
+    fn touched_mean_update_is_a_full_recompute() {
+        for seed in 0..4 {
+            let data = numeric(seed);
+            touched_update_is_a_full_recompute(&data, means(&data), seed);
+        }
+    }
+
+    #[test]
+    fn touched_prototype_update_is_a_full_recompute() {
+        for seed in 0..4 {
+            let (cat, num) = (categorical(seed), numeric(seed + 100));
+            let data = MixedDataset::new(&cat, &num);
+            let prototypes = Prototypes::from_items(&data, &ITEMS);
+            touched_update_is_a_full_recompute(&data, prototypes, seed);
+        }
     }
 }

@@ -67,7 +67,7 @@ use crate::parallel::{self, SyncShortlistProvider};
 use lshclust_categorical::{ClusterId, Dataset, Schema, ValueId};
 use lshclust_kmodes::kmeans::NumericDataset;
 use lshclust_kmodes::kprototypes::{MixedDataset, Prototypes};
-use lshclust_kmodes::modes::{group_by_cluster, Modes};
+use lshclust_kmodes::modes::{group_by_cluster, Modes, ValueCounts};
 use lshclust_minhash::hashfn::{FastMap, FastSet};
 use lshclust_minhash::index::{IndexParams, IndexStats, LshIndex, LshIndexBuilder};
 use lshclust_minhash::Banding;
@@ -386,19 +386,19 @@ impl ModeSketch {
         let groups = group_by_cluster(assignments, k);
         let mut members = vec![0u64; k];
         let mut counts: Vec<Vec<ValueCount>> = vec![Vec::new(); k * n_attrs];
+        let mut values = ValueCounts::default();
         for c in 0..k {
             let m = groups.members(c);
             members[c] = m.len() as u64;
+            values.count(dataset, m);
             for attr in 0..n_attrs {
-                let cell = &mut counts[c * n_attrs + attr];
-                for &i in m {
-                    let v = dataset.row(i as usize)[attr].0;
-                    match cell.iter_mut().find(|vc| vc.value == v) {
-                        Some(vc) => vc.count += 1,
-                        None => cell.push(ValueCount { value: v, count: 1 }),
-                    }
-                }
-                cell.sort_unstable_by_key(|vc| vc.value);
+                counts[c * n_attrs + attr] = values
+                    .runs(attr)
+                    .map(|(v, n)| ValueCount {
+                        value: v.0,
+                        count: u64::from(n),
+                    })
+                    .collect();
             }
         }
         Self {

@@ -13,7 +13,7 @@
 
 use crate::modes::Modes;
 use lshclust_categorical::dissimilarity::matching;
-use lshclust_categorical::{Dataset, ValueId};
+use lshclust_categorical::{AttrId, Dataset, ValueId, NOT_PRESENT};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -67,40 +67,17 @@ fn random_items(dataset: &Dataset, k: usize, seed: u64) -> Modes {
 
 fn huang(dataset: &Dataset, k: usize, seed: u64) -> Modes {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x0068_7561_6e67);
-    let n_attrs = dataset.n_attrs();
-    // Per attribute: empirical frequency of each value.
-    let mut freqs: Vec<Vec<(ValueId, u32)>> = vec![Vec::new(); n_attrs];
-    for row in dataset.rows() {
-        for (a, &v) in row.iter().enumerate() {
-            match freqs[a].iter_mut().find(|(val, _)| *val == v) {
-                Some((_, c)) => *c += 1,
-                None => freqs[a].push((v, 1)),
-            }
-        }
-    }
+    let freqs = Frequencies::per_attribute(dataset);
     // Draw k synthetic modes: each attribute sampled proportionally to its
     // value frequency, then snap to the nearest actual item (distinct items
     // preferred) so every initial mode is realisable.
     let n = dataset.n_items();
     let mut used = vec![false; n];
     let mut picks = Vec::with_capacity(k);
-    let mut synthetic = vec![ValueId(0); n_attrs];
+    let mut synthetic = vec![ValueId(0); dataset.n_attrs()];
     for _ in 0..k {
-        for (a, f) in freqs.iter().enumerate() {
-            let total: u32 = f.iter().map(|&(_, c)| c).sum();
-            let mut t = rng.random_range(0..total);
-            synthetic[a] = f
-                .iter()
-                .find(|&&(_, c)| {
-                    if t < c {
-                        true
-                    } else {
-                        t -= c;
-                        false
-                    }
-                })
-                .expect("frequency total covers draw")
-                .0;
+        for (slot, f) in synthetic.iter_mut().zip(&freqs) {
+            *slot = f.draw(rng.random_range(0..f.total()));
         }
         let mut best = usize::MAX;
         let mut best_d = u32::MAX;
@@ -116,6 +93,78 @@ fn huang(dataset: &Dataset, k: usize, seed: u64) -> Modes {
         picks.push(best as u32);
     }
     Modes::from_items(dataset, &picks)
+}
+
+/// One attribute's empirical value frequencies, values in first-seen row
+/// order, kept as running totals so a draw is a binary search.
+struct Frequencies {
+    values: Vec<ValueId>,
+    /// `cumulative[j]` sums the counts of `values[..=j]`.
+    cumulative: Vec<u32>,
+}
+
+impl Frequencies {
+    /// Every attribute's frequencies in one pass over the rows, counted in
+    /// a table indexed by [`ValueId`]: sized from the attribute's
+    /// dictionary and grown for ids past it (a dataset assembled from raw
+    /// ids may carry an empty schema); `NOT_PRESENT` cells have a slot of
+    /// their own.
+    fn per_attribute(dataset: &Dataset) -> Vec<Self> {
+        let n_attrs = dataset.n_attrs();
+        let mut counts: Vec<Vec<u32>> = (0..n_attrs)
+            .map(|a| vec![0; dataset.schema().dictionary(AttrId(a as u32)).len()])
+            .collect();
+        let mut absent = vec![0u32; n_attrs];
+        let mut order: Vec<Vec<ValueId>> = vec![Vec::new(); n_attrs];
+        for row in dataset.rows() {
+            for (a, &v) in row.iter().enumerate() {
+                let slot = if v == NOT_PRESENT {
+                    &mut absent[a]
+                } else {
+                    let table = &mut counts[a];
+                    if v.idx() >= table.len() {
+                        table.resize(v.idx() + 1, 0);
+                    }
+                    &mut table[v.idx()]
+                };
+                if *slot == 0 {
+                    order[a].push(v);
+                }
+                *slot += 1;
+            }
+        }
+        order
+            .into_iter()
+            .enumerate()
+            .map(|(a, values)| {
+                let mut total = 0u32;
+                let cumulative = values
+                    .iter()
+                    .map(|&v| {
+                        total += if v == NOT_PRESENT {
+                            absent[a]
+                        } else {
+                            counts[a][v.idx()]
+                        };
+                        total
+                    })
+                    .collect();
+                Self { values, cumulative }
+            })
+            .collect()
+    }
+
+    /// Items counted.
+    fn total(&self) -> u32 {
+        self.cumulative.last().copied().unwrap_or(0)
+    }
+
+    /// The value a draw `t` in `0..total` lands on: the first whose running
+    /// total exceeds `t`, which is where walking the list and subtracting
+    /// each count from `t` stops.
+    fn draw(&self, t: u32) -> ValueId {
+        self.values[self.cumulative.partition_point(|&c| c <= t)]
+    }
 }
 
 fn cao(dataset: &Dataset, k: usize) -> Modes {
@@ -174,6 +223,7 @@ fn cao(dataset: &Dataset, k: usize) -> Modes {
 mod tests {
     use super::*;
     use lshclust_categorical::DatasetBuilder;
+    use proptest::prelude::*;
 
     fn dataset(n: usize) -> Dataset {
         let mut b = DatasetBuilder::anonymous(3);
@@ -285,5 +335,113 @@ mod tests {
         let a = initial_modes(&ds, 6, InitMethod::Huang, 21);
         let b = initial_modes(&ds, 6, InitMethod::Huang, 21);
         assert_eq!(a, b);
+    }
+
+    /// Huang's initialisation as first written: linear-search counting in
+    /// first-seen order, and a walk of each frequency list per draw.
+    fn huang_reference(dataset: &Dataset, k: usize, seed: u64) -> Modes {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x0068_7561_6e67);
+        let n_attrs = dataset.n_attrs();
+        let mut freqs: Vec<Vec<(ValueId, u32)>> = vec![Vec::new(); n_attrs];
+        for row in dataset.rows() {
+            for (a, &v) in row.iter().enumerate() {
+                match freqs[a].iter().position(|&(val, _)| val == v) {
+                    Some(j) => freqs[a][j].1 += 1,
+                    None => freqs[a].push((v, 1)),
+                }
+            }
+        }
+        let n = dataset.n_items();
+        let mut used = vec![false; n];
+        let mut picks = Vec::with_capacity(k);
+        let mut synthetic = vec![ValueId(0); n_attrs];
+        for _ in 0..k {
+            for (a, f) in freqs.iter().enumerate() {
+                let total: u32 = f.iter().map(|&(_, c)| c).sum();
+                let mut t = rng.random_range(0..total);
+                synthetic[a] = f
+                    .iter()
+                    .find(|&&(_, c)| {
+                        if t < c {
+                            true
+                        } else {
+                            t -= c;
+                            false
+                        }
+                    })
+                    .expect("frequency total covers draw")
+                    .0;
+            }
+            let mut best = usize::MAX;
+            let mut best_d = u32::MAX;
+            for (i, &is_used) in used.iter().enumerate() {
+                let d = matching(&synthetic, dataset.row(i));
+                let penalty = u32::from(is_used);
+                if d + penalty < best_d {
+                    best_d = d + penalty;
+                    best = i;
+                }
+            }
+            used[best] = true;
+            picks.push(best as u32);
+        }
+        Modes::from_items(dataset, &picks)
+    }
+
+    #[test]
+    fn huang_matches_reference_over_a_shared_schema_out_of_id_order() {
+        // Intern a..e in order, then lay the rows out so that the
+        // first-seen order (e, c, a, …) is not the id order.
+        let mut b = DatasetBuilder::anonymous(2);
+        for v in ["a", "b", "c", "d", "e"] {
+            b.push_str_row(&[v, v], None).unwrap();
+        }
+        let interned = b.finish();
+        let order = [4, 2, 0, 4, 1, 2, 4, 3, 2, 4, 0, 4];
+        let values: Vec<ValueId> = order
+            .iter()
+            .flat_map(|&i| interned.row(i).iter().copied())
+            .collect();
+        let ds = Dataset::from_parts(interned.shared_schema().clone(), values, None);
+        for seed in 0..20 {
+            for k in 1..=ds.n_items() {
+                assert_eq!(
+                    huang(&ds, k, seed),
+                    huang_reference(&ds, k, seed),
+                    "k={k} seed={seed}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn huang_matches_reference(
+            n in 1usize..40,
+            n_attrs in 1usize..5,
+            domain in 1u32..12,
+            cells in prop::collection::vec(0u32..1_000, 160),
+            k_pick in 0usize..1_000,
+            seed in 0u64..1_000,
+        ) {
+            // Raw ids over an empty schema (as generated datasets are), with
+            // one extra draw per domain standing in for a missing value.
+            let values: Vec<ValueId> = cells[..n * n_attrs]
+                .iter()
+                .map(|&x| match x % (domain + 1) {
+                    x if x == domain => NOT_PRESENT,
+                    x => ValueId(x),
+                })
+                .collect();
+            let ds = Dataset::from_parts(
+                lshclust_categorical::Schema::anonymous(n_attrs),
+                values,
+                None,
+            );
+            let k = 1 + k_pick % n;
+            prop_assert_eq!(huang(&ds, k, seed), huang_reference(&ds, k, seed));
+        }
     }
 }

@@ -49,6 +49,22 @@ pub fn sq_euclidean(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
+/// The mean of the rows `members` of `data`, summed in the given order.
+/// Every centroid update passes its members ascending, so a mean's bits
+/// depend only on the member list.
+pub fn member_mean(data: &NumericDataset, members: &[u32]) -> Vec<f64> {
+    let mut mean = vec![0.0f64; data.dim()];
+    for &i in members {
+        for (s, &x) in mean.iter_mut().zip(data.row(i as usize)) {
+            *s += x;
+        }
+    }
+    for s in &mut mean {
+        *s /= members.len() as f64;
+    }
+    mean
+}
+
 /// K-Means initialisation strategies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum KMeansInit {

@@ -3,7 +3,7 @@
 use crate::assign::{assign_all_full, best_cluster_full};
 use crate::cost::total_cost;
 use crate::init::{initial_modes, InitMethod};
-use crate::modes::{group_by_cluster, Modes};
+use crate::modes::{group_by_cluster, Modes, ValueCounts};
 use crate::stats::{IterationStats, RunSummary};
 use lshclust_categorical::{ClusterId, Dataset};
 use std::time::Instant;
@@ -191,56 +191,31 @@ fn online_pass(
     first_pass: bool,
 ) -> usize {
     let mut moves = 0;
+    let mut counts = ValueCounts::default();
+    let mut mode = Vec::with_capacity(dataset.n_attrs());
     for item in 0..dataset.n_items() {
         let (best, _) = best_cluster_full(dataset.row(item), modes);
         let current = assignments[item];
         if best != current || first_pass {
             assignments[item] = best;
             moves += 1;
-            // Refresh both affected modes from their member sets. Cluster
-            // populations are ~n/k items, so this stays cheap.
+            // Refresh both affected modes from their member sets.
             let groups = group_by_cluster(assignments, modes.k());
-            recompute_single(dataset, modes, &groups, best);
-            if !first_pass {
-                recompute_single(dataset, modes, &groups, current);
+            let affected = if first_pass {
+                &[best][..]
+            } else {
+                &[best, current]
+            };
+            for &c in affected {
+                let members = groups.members(c.idx());
+                if !members.is_empty() {
+                    Modes::mode_of_members(dataset, members, &mut counts, &mut mode);
+                    modes.set_mode(c, &mode);
+                }
             }
         }
     }
     moves
-}
-
-fn recompute_single(
-    dataset: &Dataset,
-    modes: &mut Modes,
-    groups: &crate::modes::ClusterGroups,
-    cluster: ClusterId,
-) {
-    // Recompute by building a one-cluster view: reuse Modes::recompute by
-    // temporarily mapping is overkill; do it directly.
-    let members = groups.members(cluster.idx());
-    if members.is_empty() {
-        return;
-    }
-    let n_attrs = dataset.n_attrs();
-    let mut counts: Vec<(lshclust_categorical::ValueId, u32)> = Vec::new();
-    let mut new_mode = Vec::with_capacity(n_attrs);
-    for a in 0..n_attrs {
-        counts.clear();
-        for &item in members {
-            let v = dataset.row(item as usize)[a];
-            match counts.iter_mut().find(|(val, _)| *val == v) {
-                Some((_, n)) => *n += 1,
-                None => counts.push((v, 1)),
-            }
-        }
-        let best = counts
-            .iter()
-            .copied()
-            .max_by(|(va, na), (vb, nb)| na.cmp(nb).then(vb.cmp(va)))
-            .expect("non-empty member group");
-        new_mode.push(best.0);
-    }
-    modes.set_mode(cluster, &new_mode);
 }
 
 #[cfg(test)]

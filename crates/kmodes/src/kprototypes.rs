@@ -11,7 +11,7 @@
 //! the numeric part. `γ` balances the two scales (Huang suggests a value
 //! around the average numeric variance).
 
-use crate::kmeans::{sq_euclidean, NumericDataset};
+use crate::kmeans::{member_mean, sq_euclidean, NumericDataset};
 use crate::modes::{group_by_cluster, Modes};
 use lshclust_categorical::dissimilarity::matching;
 use lshclust_categorical::{ClusterId, Dataset};
@@ -113,18 +113,9 @@ impl Prototypes {
         let groups = group_by_cluster(assignments, k);
         for c in 0..k {
             let members = groups.members(c);
-            if members.is_empty() {
-                continue;
-            }
-            let slot = &mut self.means[c * dim..(c + 1) * dim];
-            slot.fill(0.0);
-            for &i in members {
-                for (s, &x) in slot.iter_mut().zip(data.numeric.row(i as usize)) {
-                    *s += x;
-                }
-            }
-            for s in slot.iter_mut() {
-                *s /= members.len() as f64;
+            if !members.is_empty() {
+                let mean = member_mean(data.numeric, members);
+                self.means[c * dim..(c + 1) * dim].copy_from_slice(&mean);
             }
         }
     }

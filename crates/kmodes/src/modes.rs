@@ -84,7 +84,7 @@ impl Modes {
     pub fn recompute(&mut self, dataset: &Dataset, assignments: &[ClusterId]) {
         assert_eq!(assignments.len(), dataset.n_items());
         let groups = group_by_cluster(assignments, self.k);
-        let mut counts: Vec<(ValueId, u32)> = Vec::new();
+        let mut counts = ValueCounts::default();
         let mut row: Vec<ValueId> = Vec::with_capacity(self.n_attrs);
         for c in 0..self.k {
             let members = groups.members(c);
@@ -103,35 +103,79 @@ impl Modes {
     ///
     /// Exposed so the parallel centroid update can recompute clusters
     /// concurrently while staying bit-identical to the serial path.
-    ///
-    /// The paper's cluster populations are tiny (`n/k ≈ 4.5–12.5`), so the
-    /// per-attribute frequency count is a linear scan over a small member
-    /// group rather than a hash map — measured faster and allocation-free.
     pub fn mode_of_members(
         dataset: &Dataset,
         members: &[u32],
-        counts: &mut Vec<(ValueId, u32)>,
+        counts: &mut ValueCounts,
         out: &mut Vec<ValueId>,
     ) {
         assert!(!members.is_empty(), "mode of an empty member group");
+        counts.count(dataset, members);
         out.clear();
-        for a in 0..dataset.n_attrs() {
-            counts.clear();
-            for &item in members {
-                let v = dataset.row(item as usize)[a];
-                match counts.iter_mut().find(|(val, _)| *val == v) {
-                    Some((_, n)) => *n += 1,
-                    None => counts.push((v, 1)),
-                }
+        out.extend((0..dataset.n_attrs()).map(|a| counts.most_frequent(a)));
+    }
+}
+
+/// The value counts of one member group, attribute by attribute — the one
+/// counting kernel behind every mode update (serial, parallel, online and
+/// the shard workers' sketches).
+///
+/// Each attribute's member values are sorted, so a value's count is the
+/// length of its run and the runs come out ascending by [`ValueId`]. This
+/// costs `O(m log m)` per attribute for `m` members, where a linear search
+/// per value is quadratic in the distinct values, and it needs no table
+/// sized by the domain. The buffer is reused across groups.
+#[derive(Clone, Debug, Default)]
+pub struct ValueCounts {
+    /// Members in the latest group.
+    n_members: usize,
+    /// `n_attrs × n_members`, attribute-major; each column ascending.
+    columns: Vec<ValueId>,
+}
+
+impl ValueCounts {
+    /// Counts the values of `members` (item ids into `dataset`).
+    pub fn count(&mut self, dataset: &Dataset, members: &[u32]) {
+        let m = members.len();
+        self.n_members = m;
+        self.columns.clear();
+        self.columns.resize(m * dataset.n_attrs(), ValueId(0));
+        // Row by row into columns: each member row is read once, in order.
+        for (j, &item) in members.iter().enumerate() {
+            for (a, &v) in dataset.row(item as usize).iter().enumerate() {
+                self.columns[a * m + j] = v;
             }
-            // Most frequent value; ties towards the smallest ValueId.
-            let best = counts
-                .iter()
-                .copied()
-                .max_by(|(va, na), (vb, nb)| na.cmp(nb).then(vb.cmp(va)))
-                .expect("non-empty member group");
-            out.push(best.0);
         }
+        if m > 0 {
+            for column in self.columns.chunks_exact_mut(m) {
+                column.sort_unstable();
+            }
+        }
+    }
+
+    /// Attribute `a`'s distinct values with their counts, ascending by
+    /// value ([`NOT_PRESENT`](lshclust_categorical::NOT_PRESENT) cells count
+    /// like any other value).
+    pub fn runs(&self, a: usize) -> impl Iterator<Item = (ValueId, u32)> + '_ {
+        let m = self.n_members;
+        self.columns[a * m..(a + 1) * m]
+            .chunk_by(|x, y| x == y)
+            .map(|run| (run[0], run.len() as u32))
+    }
+
+    /// Attribute `a`'s most frequent value; ties go to the smallest
+    /// [`ValueId`]. Panics when the group was empty.
+    pub fn most_frequent(&self, a: usize) -> ValueId {
+        // Runs are ascending by value, so strict `>` keeps the smallest
+        // value among tied counts.
+        let mut best = (ValueId(0), 0u32);
+        for (v, n) in self.runs(a) {
+            if n > best.1 {
+                best = (v, n);
+            }
+        }
+        assert!(best.1 > 0, "mode of an empty member group");
+        best.0
     }
 }
 
@@ -327,5 +371,98 @@ mod tests {
     #[should_panic(expected = "shape mismatch")]
     fn from_parts_validates() {
         let _ = Modes::from_parts(2, 3, vec![ValueId(0); 5]);
+    }
+
+    /// Linear-search counting: each value's count in first-seen order.
+    fn reference_counts(dataset: &Dataset, members: &[u32], a: usize) -> Vec<(ValueId, u32)> {
+        let mut counts: Vec<(ValueId, u32)> = Vec::new();
+        for &item in members {
+            let v = dataset.row(item as usize)[a];
+            match counts.iter().position(|&(val, _)| val == v) {
+                Some(j) => counts[j].1 += 1,
+                None => counts.push((v, 1)),
+            }
+        }
+        counts
+    }
+
+    /// The most frequent value by linear search, ties to the smallest id.
+    fn reference_mode(dataset: &Dataset, members: &[u32]) -> Vec<ValueId> {
+        (0..dataset.n_attrs())
+            .map(|a| {
+                reference_counts(dataset, members, a)
+                    .into_iter()
+                    .max_by(|(va, na), (vb, nb)| na.cmp(nb).then(vb.cmp(va)))
+                    .expect("non-empty member group")
+                    .0
+            })
+            .collect()
+    }
+
+    fn check_kernel(dataset: &Dataset, members: &[u32], counts: &mut ValueCounts) {
+        let mut mode = Vec::new();
+        Modes::mode_of_members(dataset, members, counts, &mut mode);
+        assert_eq!(
+            mode,
+            reference_mode(dataset, members),
+            "members {members:?}"
+        );
+        for a in 0..dataset.n_attrs() {
+            let mut want = reference_counts(dataset, members, a);
+            want.sort_unstable();
+            assert_eq!(counts.runs(a).collect::<Vec<_>>(), want, "attribute {a}");
+        }
+    }
+
+    #[test]
+    fn counting_kernel_matches_linear_search() {
+        use lshclust_categorical::{Schema, NOT_PRESENT};
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(23);
+        let mut counts = ValueCounts::default();
+        for domain in [2u32, 3, 7, 40, 500, 5_000] {
+            for _ in 0..20 {
+                let n_attrs = rng.random_range(1..6usize);
+                let n = rng.random_range(1..300usize);
+                // Every ninth draw a missing cell.
+                let values: Vec<ValueId> = (0..n * n_attrs)
+                    .map(|_| match rng.random_range(0..domain * 9 / 8 + 1) {
+                        x if x >= domain => NOT_PRESENT,
+                        x => ValueId(x),
+                    })
+                    .collect();
+                let ds = Dataset::from_parts(Schema::anonymous(n_attrs), values, None);
+                let size = rng.random_range(1..=n);
+                let members: Vec<u32> = (0..size).map(|_| rng.random_range(0..n as u32)).collect();
+                check_kernel(&ds, &members, &mut counts);
+            }
+        }
+    }
+
+    #[test]
+    fn counting_kernel_edge_groups() {
+        let mut counts = ValueCounts::default();
+        // Ties at every count: one member, a 2–2 tie, an all-distinct group.
+        let ds = dataset(&[
+            &["b", "q"],
+            &["a", "p"],
+            &["b", "p"],
+            &["a", "q"],
+            &["c", "r"],
+        ]);
+        for members in [
+            &[0][..],
+            &[0, 1, 2, 3],
+            &[1, 4],
+            &[4, 3, 0],
+            &[0, 1, 2, 3, 4],
+        ] {
+            check_kernel(&ds, members, &mut counts);
+        }
+        let mut mode = Vec::new();
+        // "b" (id 0) and "a" (id 1) tie 2–2; "q" (id 0) and "p" (id 1) too.
+        Modes::mode_of_members(&ds, &[0, 1, 2, 3], &mut counts, &mut mode);
+        assert_eq!(mode, vec![ValueId(0), ValueId(0)]);
     }
 }

@@ -126,6 +126,16 @@ pub enum ModelError {
         /// Index of the first non-finite coordinate.
         dimension: usize,
     },
+    /// A loaded artifact stores a NaN or infinite centroid mean, which has
+    /// no distance to any query.
+    NonFiniteCentroid {
+        /// The cluster whose mean it is.
+        cluster: usize,
+        /// The coordinate within that mean.
+        dimension: usize,
+    },
+    /// A loaded mixed artifact stores a NaN or infinite mixing weight γ.
+    NonFiniteGamma,
 }
 
 impl fmt::Display for ModelError {
@@ -152,6 +162,11 @@ impl fmt::Display for ModelError {
             ModelError::NonFinite { dimension } => {
                 write!(f, "query coordinate {dimension} is not a finite number")
             }
+            ModelError::NonFiniteCentroid { cluster, dimension } => write!(
+                f,
+                "centroid {cluster} has a non-finite mean at coordinate {dimension}"
+            ),
+            ModelError::NonFiniteGamma => write!(f, "the mixing weight γ is not a finite number"),
         }
     }
 }
@@ -674,7 +689,10 @@ impl FittedModel {
                 "version {version} is not supported (this build reads version {MODEL_VERSION})"
             )));
         }
-        FittedModel::from_value(&value).map_err(|e| ModelError::Json(e.to_string()))
+        let (spec, modes, means, gamma) =
+            v1_parts(&value).map_err(|e| ModelError::Json(e.to_string()))?;
+        check_finite(means.as_ref(), gamma)?;
+        Ok(FittedModel::assemble(spec, modes, means, gamma))
     }
 
     /// Writes the **v1 JSON** envelope to `path` — the pinned default
@@ -882,7 +900,11 @@ fn decode_v2(bytes: &[u8]) -> Result<FittedModel, ModelError> {
                     means.dim
                 )));
             }
-            Some((keys, f64_cells(mean_cells)))
+            let mean = f64_cells(mean_cells);
+            if !mean.iter().all(|v| v.is_finite()) {
+                return Err(corrupt("num-index-mean section holds a non-finite value"));
+            }
+            Some((keys, mean))
         }
         _ => None,
     };
@@ -895,6 +917,7 @@ fn decode_v2(bytes: &[u8]) -> Result<FittedModel, ModelError> {
     } else {
         None
     };
+    check_finite(means.as_ref(), gamma)?;
     let index = (!scheme.is_none()).then(|| {
         CentroidIndex::from_band_keys(
             scheme,
@@ -1077,65 +1100,99 @@ fn tagged(tag: &str, fields: Vec<(String, Value)>) -> Value {
 
 impl Deserialize for FittedModel {
     fn from_value(v: &Value) -> Result<Self, SerdeError> {
-        let spec: ClusterSpec = match v.get("spec") {
-            Some(s) => Deserialize::from_value(s)?,
-            None => return Err(SerdeError::expected("`spec` field", "FittedModel")),
-        };
-        let payload = v
-            .get("centroids")
-            .and_then(Value::as_object)
-            .ok_or_else(|| SerdeError::expected("`centroids` object", "FittedModel"))?;
-        let [(tag, body)] = payload else {
-            return Err(SerdeError::expected(
-                "single-variant centroid object",
-                "FittedModel",
-            ));
-        };
-        let (modes, means, gamma) = match tag.as_str() {
-            "Categorical" => {
-                let schema: Schema = field_of(body, "schema")?;
-                let modes: Modes = field_of(body, "modes")?;
-                check_mode_arity(&schema, &modes)?;
-                check_cluster_count(modes.k(), spec.k)?;
-                (Some((Arc::new(schema), modes)), None, None)
-            }
-            "Numeric" => {
-                let dim: usize = field_of(body, "dim")?;
-                let centroids: Vec<f64> = field_of(body, "centroids")?;
-                if dim == 0 || !centroids.len().is_multiple_of(dim) {
-                    return Err(SerdeError(format!(
-                        "centroid buffer of {} values is not k×dim with dim {dim}",
-                        centroids.len()
-                    )));
-                }
-                check_cluster_count(centroids.len() / dim, spec.k)?;
-                let means = Means {
-                    dim,
-                    values: centroids,
-                };
-                (None, Some(means), None)
-            }
-            "Mixed" => {
-                let schema: Schema = field_of(body, "schema")?;
-                let prototypes: Prototypes = field_of(body, "prototypes")?;
-                let gamma: f64 = field_of(body, "gamma")?;
-                check_mode_arity(&schema, &prototypes.modes)?;
-                check_cluster_count(prototypes.k(), spec.k)?;
-                let means = Means {
-                    dim: prototypes.dim(),
-                    values: prototypes.means,
-                };
-                (
-                    Some((Arc::new(schema), prototypes.modes)),
-                    Some(means),
-                    Some(gamma),
-                )
-            }
-            other => return Err(SerdeError(format!("unknown centroid family `{other}`"))),
-        };
-        check_banding(&spec.lsh, modes.is_some(), means.is_some())?;
+        let (spec, modes, means, gamma) = v1_parts(v)?;
+        check_finite(means.as_ref(), gamma).map_err(|e| SerdeError(e.to_string()))?;
         Ok(FittedModel::assemble(spec, modes, means, gamma))
     }
+}
+
+/// What a v1 envelope stores: the spec and the centroid parts.
+type V1Parts = (
+    ClusterSpec,
+    Option<(Arc<Schema>, Modes)>,
+    Option<Means>,
+    Option<f64>,
+);
+
+/// Reads the spec and centroid parts of a v1 envelope, checking their
+/// shapes (not their values; see [`check_finite`]).
+fn v1_parts(v: &Value) -> Result<V1Parts, SerdeError> {
+    let spec: ClusterSpec = match v.get("spec") {
+        Some(s) => Deserialize::from_value(s)?,
+        None => return Err(SerdeError::expected("`spec` field", "FittedModel")),
+    };
+    let payload = v
+        .get("centroids")
+        .and_then(Value::as_object)
+        .ok_or_else(|| SerdeError::expected("`centroids` object", "FittedModel"))?;
+    let [(tag, body)] = payload else {
+        return Err(SerdeError::expected(
+            "single-variant centroid object",
+            "FittedModel",
+        ));
+    };
+    let (modes, means, gamma) = match tag.as_str() {
+        "Categorical" => {
+            let schema: Schema = field_of(body, "schema")?;
+            let modes: Modes = field_of(body, "modes")?;
+            check_mode_arity(&schema, &modes)?;
+            check_cluster_count(modes.k(), spec.k)?;
+            (Some((Arc::new(schema), modes)), None, None)
+        }
+        "Numeric" => {
+            let dim: usize = field_of(body, "dim")?;
+            let centroids: Vec<f64> = field_of(body, "centroids")?;
+            if dim == 0 || !centroids.len().is_multiple_of(dim) {
+                return Err(SerdeError(format!(
+                    "centroid buffer of {} values is not k×dim with dim {dim}",
+                    centroids.len()
+                )));
+            }
+            check_cluster_count(centroids.len() / dim, spec.k)?;
+            let means = Means {
+                dim,
+                values: centroids,
+            };
+            (None, Some(means), None)
+        }
+        "Mixed" => {
+            let schema: Schema = field_of(body, "schema")?;
+            let prototypes: Prototypes = field_of(body, "prototypes")?;
+            let gamma: f64 = field_of(body, "gamma")?;
+            check_mode_arity(&schema, &prototypes.modes)?;
+            check_cluster_count(prototypes.k(), spec.k)?;
+            let means = Means {
+                dim: prototypes.dim(),
+                values: prototypes.means,
+            };
+            (
+                Some((Arc::new(schema), prototypes.modes)),
+                Some(means),
+                Some(gamma),
+            )
+        }
+        other => return Err(SerdeError(format!("unknown centroid family `{other}`"))),
+    };
+    check_banding(&spec.lsh, modes.is_some(), means.is_some())?;
+    Ok((spec, modes, means, gamma))
+}
+
+/// Both envelope decoders check every stored mean and γ before a model is
+/// built: a NaN or infinite mean has no distance to any query, so a model
+/// holding one would answer with a wrong cluster instead of an error.
+fn check_finite(means: Option<&Means>, gamma: Option<f64>) -> Result<(), ModelError> {
+    if let Some(means) = means {
+        if let Some(i) = means.values.iter().position(|v| !v.is_finite()) {
+            return Err(ModelError::NonFiniteCentroid {
+                cluster: i / means.dim,
+                dimension: i % means.dim,
+            });
+        }
+    }
+    if gamma.is_some_and(|g| !g.is_finite()) {
+        return Err(ModelError::NonFiniteGamma);
+    }
+    Ok(())
 }
 
 /// A stored spec's banding is input, so both envelope decoders check it

@@ -426,24 +426,39 @@ impl Sim {
         &self.spec
     }
 
-    /// The exact-verified candidate pairs of `data`, after one validation
-    /// step: a threshold no distance can meet (NaN, or below 0; `+∞` stays
-    /// valid and verifies every candidate), a hash family with zero bands
-    /// or rows, and a NaN or infinite numeric cell (whose pairs could never
-    /// verify) are typed errors.
-    fn verified<D: SimInput + ?Sized>(&self, data: &D) -> Result<VerifiedPairs, SpecError> {
+    /// The exact-verified candidate pairs of `data` — the bucket-colliding
+    /// pairs of the spec's LSH scheme, or every pair when `exact` — after
+    /// one validation step: a threshold no distance can meet (NaN, or below
+    /// 0; `+∞` stays valid and verifies every candidate), a hash family with
+    /// zero bands or rows (unless `exact`, which ignores the scheme), and a
+    /// NaN or infinite numeric cell (whose pairs could never verify) are
+    /// typed errors.
+    fn verified<D: SimInput + ?Sized>(
+        &self,
+        data: &D,
+        exact: bool,
+    ) -> Result<VerifiedPairs, SpecError> {
         let threshold = self.spec.threshold;
         if threshold.is_nan() || threshold < 0.0 {
             return Err(SpecError::InvalidThreshold {
                 threshold: threshold.to_string(),
             });
         }
-        self.spec.lsh.check_banding()?;
+        if !exact {
+            self.spec.lsh.check_banding()?;
+        }
         let kernel = data.pair_data(&self.spec);
         match kernel {
             PairData::Numeric(points) => check_finite(points)?,
             PairData::Mixed { data, .. } => check_finite(data.numeric)?,
             PairData::Categorical(_) => {}
+        }
+        if exact {
+            let n = data.n_items();
+            return Ok(VerifiedPairs {
+                pairs: brute_force_pairs(&kernel, threshold),
+                candidate_pairs: n * n.saturating_sub(1) / 2,
+            });
         }
         let candidates = data.candidates(&self.spec)?;
         Ok(verified_pairs(
@@ -461,7 +476,7 @@ impl Sim {
     /// is [`SpecError::InvalidThreshold`]; an empty hash family and a
     /// non-finite numeric cell are typed errors too.
     pub fn dedup<D: SimInput + ?Sized>(&self, data: &D) -> Result<DedupReport, SpecError> {
-        let out = self.verified(data)?;
+        let out = self.verified(data, false)?;
         let n = data.n_items();
         let mut representative: Vec<u32> = (0..n as u32).collect();
         // Union-find with the smallest id as every root: linking the larger
@@ -516,7 +531,21 @@ impl Sim {
     /// threshold is [`SpecError::InvalidThreshold`]; an empty hash family
     /// and a non-finite numeric cell are typed errors too.
     pub fn join<D: SimInput + ?Sized>(&self, data: &D) -> Result<JoinReport, SpecError> {
-        let out = self.verified(data)?;
+        Ok(self.join_report(data.n_items(), self.verified(data, false)?))
+    }
+
+    /// Exact self-join over all pairs — the ground truth [`Sim::join`]'s
+    /// recall is measured against. Uses the same threshold, cap, tie-order
+    /// and validation (a non-finite numeric cell is
+    /// [`SpecError::NonFinite`], not a row whose pairs silently vanish);
+    /// ignores the spec's LSH scheme.
+    pub fn join_exact<D: SimInput + ?Sized>(&self, data: &D) -> Result<JoinReport, SpecError> {
+        Ok(self.join_report(data.n_items(), self.verified(data, true)?))
+    }
+
+    /// The join report of verified pairs: closest first, ties by `(a, b)`,
+    /// capped at the spec's `max_pairs`.
+    fn join_report(&self, n_items: usize, out: VerifiedPairs) -> JoinReport {
         let matched = out.pairs.len();
         let mut pairs: Vec<PairRecord> = out
             .pairs
@@ -537,46 +566,10 @@ impl Sim {
         if let Some(cap) = self.spec.max_pairs {
             pairs.truncate(cap);
         }
-        Ok(JoinReport {
-            n_items: data.n_items(),
+        JoinReport {
+            n_items,
             threshold: self.spec.threshold,
             candidate_pairs: out.candidate_pairs,
-            matched,
-            capped,
-            pairs,
-        })
-    }
-
-    /// Exact self-join over all pairs — the ground truth [`Sim::join`]'s
-    /// recall is measured against. Uses the same threshold, cap and
-    /// tie-order; ignores the spec's LSH scheme.
-    pub fn join_exact<D: SimInput + ?Sized>(&self, data: &D) -> JoinReport {
-        let kernel = data.pair_data(&self.spec);
-        let exact = brute_force_pairs(&kernel, self.spec.threshold);
-        let matched = exact.len();
-        let mut pairs: Vec<PairRecord> = exact
-            .into_iter()
-            .map(|p| PairRecord {
-                a: p.a,
-                b: p.b,
-                distance: p.distance,
-            })
-            .collect();
-        pairs.sort_unstable_by(|x, y| {
-            x.distance
-                .total_cmp(&y.distance)
-                .then(x.a.cmp(&y.a))
-                .then(x.b.cmp(&y.b))
-        });
-        let capped = self.spec.max_pairs.is_some_and(|cap| pairs.len() > cap);
-        if let Some(cap) = self.spec.max_pairs {
-            pairs.truncate(cap);
-        }
-        let n = data.n_items();
-        JoinReport {
-            n_items: n,
-            threshold: self.spec.threshold,
-            candidate_pairs: n * n.saturating_sub(1) / 2,
             matched,
             capped,
             pairs,

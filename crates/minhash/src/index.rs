@@ -165,16 +165,18 @@ impl LshIndexBuilder {
             n_items,
             "one initial cluster per item required"
         );
+        assert!(n_items < EMPTY as usize, "index exceeds u32 items");
 
-        // Pass 2: fill one bucket map per band.
-        let mut buckets: Vec<FastMap<u64, Vec<u32>>> =
-            (0..n_bands).map(|_| FastMap::default()).collect();
-        for item in 0..n_items {
-            for (band, map) in buckets.iter_mut().enumerate() {
-                let key = band_keys[item * n_bands + band];
-                map.entry(key).or_default().push(item as u32);
-            }
-        }
+        // Pass 2: fill the bucket maps band by band, items ascending.
+        let buckets: Vec<BandBuckets> = (0..n_bands)
+            .map(|band| {
+                let mut map = BandBuckets::default();
+                for (item, keys) in band_keys.chunks_exact(n_bands).enumerate() {
+                    insert(&mut map, keys[band], item as u32);
+                }
+                map
+            })
+            .collect();
 
         let mut index = LshIndex {
             banding,
@@ -212,7 +214,7 @@ pub struct LshIndex {
     /// `n_items × b` band keys, item-major.
     band_keys: Vec<u64>,
     /// One bucket map per band: band key → colliding item ids.
-    buckets: Vec<FastMap<u64, Vec<u32>>>,
+    buckets: Vec<BandBuckets>,
     /// Current cluster reference per item (mutated by [`Self::set_cluster`]).
     cluster_of: Vec<ClusterId>,
     /// CSR candidate lists when [`QueryMode::Precomputed`] is active.
@@ -277,9 +279,12 @@ impl LshIndex {
             "item band keys disagree with the index banding"
         );
         assert!(self.candidates.is_none(), "a precomputed index cannot grow");
-        let item = u32::try_from(self.n_items()).expect("index exceeds u32 items");
-        for (bucket, &key) in self.buckets.iter_mut().zip(band_keys) {
-            bucket.entry(key).or_default().push(item);
+        let item = u32::try_from(self.n_items())
+            .ok()
+            .filter(|&item| item != EMPTY)
+            .expect("index exceeds u32 items");
+        for (map, &key) in self.buckets.iter_mut().zip(band_keys) {
+            insert(map, key, item);
         }
         self.band_keys.extend_from_slice(band_keys);
         self.cluster_of.push(cluster);
@@ -318,8 +323,8 @@ impl LshIndex {
         let n_bands = self.banding.bands() as usize;
         let keys = &self.band_keys[item as usize * n_bands..(item as usize + 1) * n_bands];
         for (band, key) in keys.iter().enumerate() {
-            if let Some(members) = self.buckets[band].get(key) {
-                for &other in members {
+            if let Some(bucket) = self.buckets[band].get(key) {
+                for &other in bucket.members() {
                     f(other);
                 }
             }
@@ -404,8 +409,8 @@ impl LshIndex {
         scratch.items.begin();
         scratch.begin_clusters();
         for (band, key) in band_keys.iter().enumerate() {
-            if let Some(members) = self.buckets[band].get(key) {
-                for &other in members {
+            if let Some(bucket) = self.buckets[band].get(key) {
+                for &other in bucket.members() {
                     if scratch.items.mark(other) {
                         let c = self.cluster_of[other as usize];
                         if scratch.mark_cluster(c) {
@@ -421,7 +426,7 @@ impl LshIndex {
     /// item hashed there).
     #[inline]
     pub fn bucket(&self, band: usize, key: u64) -> &[u32] {
-        self.buckets[band].get(&key).map_or(&[], Vec::as_slice)
+        self.buckets[band].get(&key).map_or(&[], Bucket::members)
     }
 
     /// Calls `f` once per bucket: `(band, band key, member item ids)`.
@@ -430,8 +435,8 @@ impl LshIndex {
     /// workers digest into per-key cluster sets (`lshclust_core::shard`).
     pub fn for_each_bucket<F: FnMut(usize, u64, &[u32])>(&self, mut f: F) {
         for (band, map) in self.buckets.iter().enumerate() {
-            for (&key, members) in map {
-                f(band, key, members);
+            for (&key, bucket) in map {
+                f(band, key, bucket.members());
             }
         }
     }
@@ -443,9 +448,10 @@ impl LshIndex {
         let mut total_entries = 0usize;
         for map in &self.buckets {
             n_buckets += map.len();
-            for v in map.values() {
-                largest = largest.max(v.len());
-                total_entries += v.len();
+            for bucket in map.values() {
+                let len = bucket.members().len();
+                largest = largest.max(len);
+                total_entries += len;
             }
         }
         IndexStats {
@@ -460,6 +466,65 @@ impl LshIndex {
     /// Creates a cluster-shortlist scratch sized for `n_clusters` clusters.
     pub fn make_scratch(&self, n_clusters: usize) -> ShortlistScratch {
         ShortlistScratch::new(self.n_items(), n_clusters)
+    }
+}
+
+/// One band's buckets: band key → members.
+type BandBuckets = FastMap<u64, Bucket>;
+
+/// Appends `item` to band bucket `key`, creating the bucket on first use.
+fn insert(map: &mut BandBuckets, key: u64, item: u32) {
+    map.entry(key)
+        .and_modify(|bucket| bucket.push(item))
+        .or_insert_with(|| Bucket::new(item));
+}
+
+/// Members an inline bucket holds before it moves to the heap.
+const INLINE: usize = 4;
+/// The free-slot marker of an inline bucket (never an item id: an index
+/// holds fewer than `u32::MAX` items).
+const EMPTY: u32 = u32::MAX;
+
+/// One bucket's member item ids, ascending. Most buckets of a fine banding
+/// hold one item (1.79 M buckets for 2 M entries at the paper's scale), so
+/// up to [`INLINE`] members are kept in place, free slots marked [`EMPTY`],
+/// and only larger buckets allocate. The enum is no larger than a
+/// `Vec<u32>`.
+#[derive(Clone, Debug)]
+enum Bucket {
+    Inline([u32; INLINE]),
+    Heap(Vec<u32>),
+}
+
+impl Bucket {
+    fn new(item: u32) -> Self {
+        let mut ids = [EMPTY; INLINE];
+        ids[0] = item;
+        Bucket::Inline(ids)
+    }
+
+    /// Appends an item larger than every member.
+    fn push(&mut self, item: u32) {
+        match self {
+            Bucket::Inline(ids) => match ids.iter().position(|&id| id == EMPTY) {
+                Some(free) => ids[free] = item,
+                None => {
+                    let mut members = Vec::with_capacity(2 * INLINE);
+                    members.extend_from_slice(ids);
+                    members.push(item);
+                    *self = Bucket::Heap(members);
+                }
+            },
+            Bucket::Heap(members) => members.push(item),
+        }
+    }
+
+    #[inline]
+    fn members(&self) -> &[u32] {
+        match self {
+            Bucket::Inline(ids) => &ids[..ids.iter().filter(|&&id| id != EMPTY).count()],
+            Bucket::Heap(members) => members,
+        }
     }
 }
 
@@ -582,6 +647,7 @@ impl ShortlistScratch {
 mod tests {
     use super::*;
     use lshclust_categorical::DatasetBuilder;
+    use std::collections::BTreeMap;
 
     /// Three near-duplicate items and one far item.
     fn dataset() -> Dataset {
@@ -843,5 +909,145 @@ mod tests {
             LshIndexBuilder::new(Banding::new(2, 1)).build(&ds, &clusters(&[0]))
         });
         assert!(result.is_err());
+    }
+
+    #[test]
+    fn a_bucket_is_the_size_of_a_vec() {
+        assert_eq!(
+            std::mem::size_of::<Bucket>(),
+            std::mem::size_of::<Vec<u32>>()
+        );
+    }
+
+    /// Shortlist by the letter of Algorithm 2 over sorted reference buckets:
+    /// bands in order, members ascending, items and then clusters deduped
+    /// in first-seen order.
+    fn reference_shortlist(
+        buckets: &[BTreeMap<u64, Vec<u32>>],
+        keys: &[u64],
+        cluster_of: &[ClusterId],
+        item: u32,
+        exclude_self: bool,
+    ) -> Vec<ClusterId> {
+        let bands = buckets.len();
+        let mut items = Vec::new();
+        let mut out = Vec::new();
+        for (band, map) in buckets.iter().enumerate() {
+            let key = keys[item as usize * bands + band];
+            for &other in map.get(&key).map_or(&[][..], Vec::as_slice) {
+                if (exclude_self && other == item) || items.contains(&other) {
+                    continue;
+                }
+                items.push(other);
+                let c = cluster_of[other as usize];
+                if !out.contains(&c) {
+                    out.push(c);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn buckets_of_one_to_nine_members_match_a_sorted_map() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        const BANDS: usize = 3;
+        // Per band, one bucket of each size 1..=9: 45 items, dealt out in a
+        // shuffled order so that a bucket's members are not contiguous.
+        const N: usize = 45;
+        for seed in 0..6u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut keys = vec![0u64; N * BANDS];
+            for band in 0..BANDS {
+                let mut deal: Vec<u64> = (0..9u64)
+                    .flat_map(|size| std::iter::repeat_n(size, size as usize + 1))
+                    .map(|size| (band as u64 * 16 + size).wrapping_mul(0x9e37_79b9_7f4a_7c15))
+                    .collect();
+                for i in (1..deal.len()).rev() {
+                    deal.swap(i, rng.random_range(0..=i));
+                }
+                for (item, key) in deal.into_iter().enumerate() {
+                    keys[item * BANDS + band] = key;
+                }
+            }
+            let mut cluster_of: Vec<ClusterId> = (0..N as u32).map(|i| ClusterId(i % 7)).collect();
+            let mut reference = vec![BTreeMap::<u64, Vec<u32>>::new(); BANDS];
+            for (item, item_keys) in keys.chunks_exact(BANDS).enumerate() {
+                for (map, &key) in reference.iter_mut().zip(item_keys) {
+                    map.entry(key).or_default().push(item as u32);
+                }
+            }
+            // Half the items built, the rest pushed: buckets cross the
+            // inline capacity in both.
+            let builder = LshIndexBuilder::new(Banding::new(BANDS as u32, 1));
+            let half = N / 2;
+            let mut grown =
+                builder.build_from_band_keys(keys[..half * BANDS].to_vec(), &cluster_of[..half]);
+            for item in half..N {
+                let id = grown.push(&keys[item * BANDS..(item + 1) * BANDS], cluster_of[item]);
+                assert_eq!(id as usize, item);
+            }
+            let whole = builder.build_from_band_keys(keys.clone(), &cluster_of);
+            let precomputed = builder
+                .clone()
+                .mode(QueryMode::Precomputed)
+                .build_from_band_keys(keys.clone(), &cluster_of);
+            let sizes: Vec<usize> = reference
+                .iter()
+                .flat_map(|map| map.values().map(Vec::len))
+                .collect();
+            let want_stats = IndexStats {
+                n_items: N,
+                n_bands: BANDS as u32,
+                n_buckets: sizes.len(),
+                total_entries: N * BANDS,
+                largest_bucket: 9,
+            };
+            for (name, index) in [("grown", &grown), ("whole", &whole)] {
+                assert_eq!(index.stats(), want_stats, "{name}");
+                for (band, map) in reference.iter().enumerate() {
+                    for (&key, members) in map {
+                        assert_eq!(index.bucket(band, key), &members[..], "{name}");
+                    }
+                    assert!(index.bucket(band, 1).is_empty());
+                }
+                let mut seen = vec![BTreeMap::new(); BANDS];
+                index.for_each_bucket(|band, key, members| {
+                    assert!(seen[band].insert(key, members.to_vec()).is_none());
+                });
+                assert_eq!(seen, reference, "{name}");
+            }
+            // Shortlists, before and after moving every third item.
+            for round in 0..2 {
+                if round == 1 {
+                    for item in (0..N as u32).step_by(3) {
+                        let c = ClusterId(rng.random_range(0..7));
+                        cluster_of[item as usize] = c;
+                        grown.set_cluster(item, c);
+                    }
+                }
+                let mut scratch = grown.make_scratch(7);
+                let mut pre_scratch = precomputed.make_scratch(7);
+                for item in 0..N as u32 {
+                    for exclude_self in [false, true] {
+                        let want =
+                            reference_shortlist(&reference, &keys, &cluster_of, item, exclude_self);
+                        grown.shortlist(item, &mut scratch, exclude_self);
+                        assert_eq!(scratch.clusters, want, "item {item}");
+                        if round == 0 {
+                            precomputed.shortlist(item, &mut pre_scratch, exclude_self);
+                            assert_eq!(pre_scratch.clusters, want, "precomputed item {item}");
+                        }
+                    }
+                    let item_keys = &keys[item as usize * BANDS..(item as usize + 1) * BANDS];
+                    grown.shortlist_for_band_keys(item_keys, &mut scratch);
+                    assert_eq!(
+                        scratch.clusters,
+                        reference_shortlist(&reference, &keys, &cluster_of, item, false)
+                    );
+                }
+            }
+        }
     }
 }

@@ -60,7 +60,7 @@ fn assert_matches_brute_force<D: lshclust::SimInput + ?Sized>(
     label: &str,
 ) {
     let sim = Sim::new(spec);
-    let exact = sim.join_exact(data);
+    let exact = sim.join_exact(data).expect("exact join");
     let join = sim.join(data).unwrap();
     assert_eq!(join.pairs, exact.pairs, "{label}: join vs brute force");
     assert_eq!(join.matched, exact.matched, "{label}: matched count");
@@ -189,7 +189,7 @@ fn production_banding_recall_meets_the_floor() {
     fn check<D: lshclust::SimInput + ?Sized>(spec: SimSpec, data: &D, label: &str) {
         let sim = Sim::new(spec);
         let join = sim.join(data).unwrap();
-        let exact = sim.join_exact(data);
+        let exact = sim.join_exact(data).expect("exact join");
         let all_pairs = join.n_items * (join.n_items - 1) / 2;
         assert!(exact.matched > 0, "{label}: nothing to find");
         let recall = join.matched as f64 / exact.matched as f64;

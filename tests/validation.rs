@@ -2,11 +2,12 @@
 //! sharded or not) and every similarity run rejects an LSH scheme with an
 //! empty hash family, and a numeric input holding NaN or ±∞, with a typed
 //! [`SpecError`] before any work starts — instead of a panic inside the
-//! banding, or an `Ok` run over non-finite centroids.
+//! banding, or an `Ok` run over non-finite centroids. Both model envelopes
+//! reject a stored non-finite mean or γ with a typed [`ModelError`].
 
 use lshclust::{
-    ClusterSpec, Clusterer, Dataset, DatasetBuilder, Fit, Lsh, MixedDataset, NumericDataset, Sim,
-    SimSpec, SpecError,
+    ClusterSpec, Clusterer, Dataset, DatasetBuilder, Fit, FittedModel, Lsh, MixedDataset,
+    ModelError, NumericDataset, Sim, SimSpec, SpecError,
 };
 use lshclust_core::shard::{NumShardInit, ShardInit, ShardWorker};
 
@@ -239,4 +240,92 @@ fn shard_worker_rejects_an_empty_simhash_banding() {
     };
     let err = ShardWorker::new(init).err().expect("a typed init error");
     assert!(err.0.contains("banding 3×0"), "{err}");
+}
+
+#[test]
+fn exact_join_rejects_non_finite_cells() {
+    let num = numeric(Some((5, 0, f64::NAN)));
+    let sim = Sim::new(SimSpec::new(1e9).lsh(SIMHASH));
+    // Before the check, the NaN row's 39 pairs were silently dropped: the
+    // exact join returned 741 of the 780.
+    assert_eq!(
+        sim.join_exact(&num).unwrap_err(),
+        SpecError::NonFinite { item: 5, dim: 0 }
+    );
+    assert_eq!(
+        sim.join_exact(&numeric(None)).unwrap().matched,
+        N * (N - 1) / 2
+    );
+}
+
+fn fixture(name: &str) -> String {
+    let path = format!(
+        "{}/../../tests/fixtures/model-{name}.v1.json",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    std::fs::read_to_string(path).unwrap()
+}
+
+/// `text` with its one occurrence of `from` replaced by `to`.
+fn replace_once(text: &str, from: &str, to: &str) -> String {
+    assert_eq!(text.matches(from).count(), 1, "`{from}`");
+    text.replacen(from, to, 1)
+}
+
+/// A v2 envelope of the v1 `text` with the one stored copy of `value`
+/// overwritten by `to`.
+fn v2_with(text: &str, value: f64, to: f64) -> Vec<u8> {
+    let mut bytes = FittedModel::from_json(text).unwrap().to_bytes();
+    let needle = value.to_le_bytes();
+    let hits: Vec<usize> = (0..bytes.len() - 7)
+        .filter(|&i| bytes[i..i + 8] == needle)
+        .collect();
+    assert_eq!(hits.len(), 1, "{value} is stored once");
+    bytes[hits[0]..hits[0] + 8].copy_from_slice(&to.to_le_bytes());
+    bytes
+}
+
+#[test]
+fn both_envelopes_reject_non_finite_means() {
+    let text = fixture("numeric");
+    // Before the check, this model loaded and predicted cluster 3 for the
+    // origin.
+    let first = replace_once(&text, "0.1302341972677346", "1e999");
+    let want = ModelError::NonFiniteCentroid {
+        cluster: 0,
+        dimension: 0,
+    };
+    assert_eq!(FittedModel::from_json(&first).unwrap_err(), want);
+    let bytes = v2_with(&text, 0.1302341972677346, f64::NAN);
+    assert_eq!(FittedModel::from_bytes(&bytes).unwrap_err(), want);
+
+    let inner = replace_once(&text, "9.983077814460113", "-1e999");
+    let want = ModelError::NonFiniteCentroid {
+        cluster: 2,
+        dimension: 1,
+    };
+    assert_eq!(FittedModel::from_json(&inner).unwrap_err(), want);
+    let bytes = v2_with(&text, 9.983077814460113, f64::INFINITY);
+    assert_eq!(FittedModel::from_bytes(&bytes).unwrap_err(), want);
+    assert!(want.to_string().contains("centroid 2"), "{want}");
+}
+
+#[test]
+fn both_envelopes_reject_a_non_finite_gamma() {
+    let text = fixture("mixed");
+    let gamma = replace_once(&text, "0.019995348728813585", "1e999");
+    assert_eq!(
+        FittedModel::from_json(&gamma).unwrap_err(),
+        ModelError::NonFiniteGamma
+    );
+    let bytes = v2_with(&text, 0.019995348728813585, f64::NAN);
+    assert_eq!(
+        FittedModel::from_bytes(&bytes).unwrap_err(),
+        ModelError::NonFiniteGamma
+    );
+    let mean = replace_once(&text, "-9.869765802732264", "1e999");
+    assert!(matches!(
+        FittedModel::from_json(&mean).unwrap_err(),
+        ModelError::NonFiniteCentroid { dimension: 0, .. }
+    ));
 }
