@@ -85,11 +85,12 @@
 //! byte-identical at any `--threads` count.
 //!
 //! `shard-worker` turns the process into one shard of a partitioned fit: a
-//! blocking NDJSON loop over stdin/stdout speaking the partial-update
-//! protocol of `lshclust::shard` (see `docs/ARCHITECTURE.md § Sharded
-//! fitting`). It is spawned by a coordinating `cluster fit --shards S
-//! --worker-cmd "cluster shard-worker"` — one process per shard — and never
-//! invoked by hand.
+//! blocking NDJSON loop over stdin/stdout speaking the scoring protocol of
+//! `lshclust::shard` (see `docs/ARCHITECTURE.md § Sharded fitting`): it
+//! holds its rows and scores the candidate lists the coordinator sends. It
+//! is spawned by a coordinating `cluster fit --shards S --worker-cmd
+//! "cluster shard-worker"` — one process per shard — and never invoked by
+//! hand.
 //!
 //! Shared `fit` options:
 //!

@@ -165,18 +165,6 @@ impl ActivitySet {
         }
     }
 
-    /// Rebuilds a set from the active cluster ids of [`Self::to_clusters`]
-    /// (the shard wire form). Out-of-range ids are ignored.
-    pub fn from_clusters(k: usize, clusters: &[u32]) -> Self {
-        let mut set = Self::none(k);
-        for &c in clusters {
-            if (c as usize) < k {
-                set.mark(ClusterId(c));
-            }
-        }
-        set
-    }
-
     /// Number of clusters the set ranges over.
     pub fn k(&self) -> usize {
         self.active.len()
@@ -203,16 +191,6 @@ impl ActivitySet {
     pub fn any_active_in(&self, clusters: &[ClusterId]) -> bool {
         clusters.iter().any(|&c| self.active[c.idx()])
     }
-
-    /// The active cluster ids in ascending order (the shard wire form).
-    pub fn to_clusters(&self) -> Vec<u32> {
-        self.active
-            .iter()
-            .enumerate()
-            .filter(|&(_, &a)| a)
-            .map(|(c, _)| c as u32)
-            .collect()
-    }
 }
 
 /// The assignment vector a model's centroids were last recomputed from: it
@@ -223,9 +201,9 @@ impl ActivitySet {
 /// left or joined are recomputed, and the result is identical to
 /// recomputing every cluster.
 ///
-/// A write to the centroids by any other route (a rollback, a mini-batch
-/// nudge, a merged sketch) must [`Self::forget`] the vector, so that the
-/// next update recomputes every cluster.
+/// A write to the centroids by any other route (a rollback or a mini-batch
+/// nudge) must [`Self::forget`] the vector, so that the next update
+/// recomputes every cluster.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct RecomputedFrom(Option<Vec<ClusterId>>);
 
@@ -308,10 +286,36 @@ impl ShortlistCache {
         }
     }
 
-    /// Invalidates every entry (after a full-assignment reset, e.g. a shard
-    /// worker's `AssignFull`), keeping the allocated lists for reuse.
-    pub fn invalidate_all(&mut self) {
-        self.valid.iter_mut().for_each(|v| *v = false);
+    /// The skip scan of a Jacobi pass. With an `activity`, an item whose
+    /// valid cached shortlist touches no active cluster is skipped: its
+    /// answer cannot have changed. Without one, no item is skipped. Every
+    /// other item's entry is handed out for its fresh shortlist and counts as
+    /// valid from here on, so the caller must refill each entry it gets.
+    pub(crate) fn refresh(&mut self, activity: Option<&ActivitySet>) -> Refresh<'_> {
+        let n = self.lists.len();
+        let mut items = Vec::new();
+        let mut entries = Vec::new();
+        let mut shortlist_total = 0usize;
+        for (item, (list, valid)) in self.lists.iter_mut().zip(&mut self.valid).enumerate() {
+            if *valid && activity.is_some_and(|active| !active.any_active_in(list)) {
+                shortlist_total += list.len();
+            } else {
+                *valid = true;
+                items.push(item as u32);
+                entries.push(list);
+            }
+        }
+        Refresh {
+            skipped: n - items.len(),
+            items,
+            entries,
+            shortlist_total,
+        }
+    }
+
+    /// The cached shortlist of `item`.
+    pub(crate) fn list(&self, item: u32) -> &[ClusterId] {
+        &self.lists[item as usize]
     }
 
     /// Number of items the cache covers.
@@ -323,6 +327,21 @@ impl ShortlistCache {
     pub fn is_empty(&self) -> bool {
         self.lists.is_empty()
     }
+}
+
+/// The outcome of [`ShortlistCache::refresh`]: the items a pass
+/// re-evaluates, with their cache entries, and what the skipped items
+/// contribute to the pass's counters.
+pub(crate) struct Refresh<'a> {
+    /// The items to re-evaluate, ascending.
+    pub(crate) items: Vec<u32>,
+    /// Their cache entries, in the same order, to refill with fresh
+    /// shortlists.
+    pub(crate) entries: Vec<&'a mut Vec<ClusterId>>,
+    /// The skipped items' cached shortlist lengths, summed.
+    pub(crate) shortlist_total: usize,
+    /// Items skipped.
+    pub(crate) skipped: usize,
 }
 
 /// What one assignment pass did — returned by [`assign_once`] and
@@ -1119,11 +1138,9 @@ mod tests {
         assert!(set.any_active_in(&[ClusterId(3)]));
         assert!(set.any_active_in(&[ClusterId(1), ClusterId(3)]));
         assert!(!set.any_active_in(&[]));
-        assert_eq!(set.to_clusters(), vec![3]);
-        let back = ActivitySet::from_clusters(5, &set.to_clusters());
-        assert_eq!(back, set);
+        assert!(!set.any_active_in(&[ClusterId(0), ClusterId(1), ClusterId(2), ClusterId(4)]));
         assert_eq!(ActivitySet::all(4).count(), 4);
-        assert_eq!(ActivitySet::all(4).to_clusters(), vec![0, 1, 2, 3]);
+        assert!(ActivitySet::all(4).any_active_in(&[ClusterId(0)]));
     }
 
     #[test]

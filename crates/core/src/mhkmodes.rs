@@ -581,7 +581,9 @@ mod tests {
         assert_eq!(model.modes().mode(0), &stale[..]);
         // Through the nudge accessor, the next update recomputes it.
         model.modes_mut();
-        assert_eq!(model.update_centroids(&assignments).to_clusters(), vec![0]);
+        let mut changed = ActivitySet::none(3);
+        changed.mark(ClusterId(0));
+        assert_eq!(model.update_centroids(&assignments), changed);
         assert_eq!(model.modes(), &full);
     }
 }

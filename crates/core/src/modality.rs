@@ -4,11 +4,11 @@
 //! numeric and mixed data. [`Modality`] states once what differs between
 //! the three inputs — a categorical [`Dataset`], a [`NumericDataset`] and a
 //! [`MixedDataset`]: the centroid type, the centroid model, the item index
-//! with its seed salts, and what the sharded coordinator broadcasts and
-//! merges. Each pipeline is written once against it: the accelerated full
+//! with its seed salts, and the centroids the sharded coordinator sends its
+//! shards. Each pipeline is written once against it: the accelerated full
 //! fit ([`fit_full`]), the mini-batch fit
-//! ([`crate::minibatch::minibatch_fit`]) and the sharded coordinator with
-//! its worker pass ([`crate::shard::shard_fit`]).
+//! ([`crate::minibatch::minibatch_fit`]) and the sharded fit with its
+//! worker scoring ([`crate::shard::shard_fit`]).
 //!
 //! Every item index is the same pipeline too: hash each item into band
 //! keys — MinHash over the categorical part, SimHash over the numeric part
@@ -16,21 +16,20 @@
 //! families; its shortlist is their union, MinHash candidates first.
 
 use crate::centroid_index::{IndexScheme, Salts};
-use crate::framework::{self, ActivitySet, CentroidModel, StopPolicy};
+use crate::framework::{self, CentroidModel, StopPolicy};
 use crate::mhkmeans::{KMeansModel, SimHashIndex};
 use crate::mhkmodes::{KModesModel, MinHashProvider};
 use crate::mhkprototypes::{KPrototypesModel, UnionProvider};
 use crate::minibatch::MiniBatchModel;
 use crate::parallel::{self, hash_band_keys_parallel, SyncShortlistProvider};
-use crate::shard::{CentroidSet, ModeSketch, ShardError};
+use crate::shard::{CentroidSet, ShardError};
 use lshclust_categorical::{ClusterId, Dataset};
-use lshclust_kmodes::kmeans::{member_mean, NumericDataset};
+use lshclust_kmodes::kmeans::NumericDataset;
 use lshclust_kmodes::kprototypes::{MixedDataset, Prototypes};
-use lshclust_kmodes::modes::{group_by_cluster, Modes};
+use lshclust_kmodes::modes::Modes;
 use lshclust_kmodes::stats::RunSummary;
 use lshclust_minhash::index::{IndexStats, LshIndex, LshIndexBuilder};
 use lshclust_minhash::QueryMode;
-use std::ops::Range;
 use std::time::Instant;
 
 /// What differs between the input modalities; see the [module docs](self).
@@ -68,23 +67,12 @@ pub trait Modality: Sync {
     /// the scheme, MinHash first.
     fn provider(indexes: Vec<LshIndex>, k: usize, include_self: bool) -> Self::Provider;
 
-    /// The centroids as the sharded coordinator broadcasts them.
+    /// The centroids as the sharded coordinator sends them to its shards.
     fn broadcast(&self, centroids: Self::Centroids) -> CentroidSet;
 
     /// A shard worker's reading of a broadcast: its centroids, if the set
     /// has this modality and this input's shape at `k` clusters.
     fn receive(&self, set: CentroidSet, k: usize) -> Result<Self::Centroids, ShardError>;
-
-    /// The coordinator's centroid update after a sharded pass: modes from
-    /// the merged [`ModeSketch`], means replayed over the full input in
-    /// ascending member order. Either way the result is bit-identical to
-    /// the unsharded update, and so is the returned activity.
-    fn merged_update(
-        model: &mut Self::Model<'_>,
-        sketch: Option<&ModeSketch>,
-        assignments: &[ClusterId],
-        threads: usize,
-    ) -> ActivitySet;
 }
 
 /// The one index of a single-family modality.
@@ -145,25 +133,6 @@ impl Modality for Dataset {
         }
         Ok(modes)
     }
-
-    fn merged_update(
-        model: &mut KModesModel<'_>,
-        sketch: Option<&ModeSketch>,
-        _assignments: &[ClusterId],
-        _threads: usize,
-    ) -> ActivitySet {
-        let old = model.modes().clone();
-        sketch
-            .expect("categorical updates carry a sketch")
-            .apply(model.modes_mut());
-        let mut activity = ActivitySet::none(old.k());
-        for c in 0..old.k() {
-            if model.modes().mode(c) != old.mode(c) {
-                activity.mark(ClusterId(c as u32));
-            }
-        }
-        activity
-    }
 }
 
 impl Modality for NumericDataset {
@@ -221,17 +190,6 @@ impl Modality for NumericDataset {
             )));
         }
         Ok(values)
-    }
-
-    fn merged_update(
-        model: &mut KMeansModel<'_>,
-        _sketch: Option<&ModeSketch>,
-        assignments: &[ClusterId],
-        threads: usize,
-    ) -> ActivitySet {
-        // Partial f64 sums merged across shards would drift from the serial
-        // sum in the last bits; the replay is the unsharded kernel itself.
-        model.update_centroids_parallel(assignments, threads)
     }
 }
 
@@ -293,39 +251,6 @@ impl<'m> Modality for MixedDataset<'m> {
             return Err(ShardError("prototypes disagree with shard shape".into()));
         }
         Ok(prototypes)
-    }
-
-    fn merged_update(
-        model: &mut KPrototypesModel<'_>,
-        sketch: Option<&ModeSketch>,
-        assignments: &[ClusterId],
-        _threads: usize,
-    ) -> ActivitySet {
-        let data = model.data_ref();
-        let k = model.k();
-        let groups = group_by_cluster(assignments, k);
-        let prototypes = model.prototypes_mut();
-        let dim = prototypes.dim();
-        let old = prototypes.clone();
-        sketch
-            .expect("mixed updates carry a sketch")
-            .apply(&mut prototypes.modes);
-        for c in 0..k {
-            let members = groups.members(c);
-            if !members.is_empty() {
-                let mean = member_mean(data.numeric, members);
-                prototypes.means[c * dim..(c + 1) * dim].copy_from_slice(&mean);
-            }
-        }
-        let mut activity = ActivitySet::none(k);
-        for c in 0..k {
-            if prototypes.modes.mode(c) != old.modes.mode(c)
-                || prototypes.means[c * dim..(c + 1) * dim] != old.means[c * dim..(c + 1) * dim]
-            {
-                activity.mark(ClusterId(c as u32));
-            }
-        }
-        activity
     }
 }
 
@@ -395,91 +320,50 @@ pub struct FitResult<C> {
     pub index_stats: IndexStats,
 }
 
-/// One hash family's item band keys (item-major, `n_items × bands`) and
-/// the builder whose banding, salted seed and query mode fill an item
-/// index from them.
-pub(crate) struct FamilyKeys {
-    /// Fills the family's [`LshIndex`].
-    pub(crate) builder: LshIndexBuilder,
-    /// The items' band keys.
-    pub(crate) keys: Vec<u64>,
-}
-
-impl FamilyKeys {
-    /// The keys of the items in `range`.
-    pub(crate) fn items(&self, range: Range<usize>) -> &[u64] {
-        let bands = self.builder.params().banding.bands() as usize;
-        &self.keys[range.start * bands..range.end * bands]
-    }
-}
-
-/// The item band keys of every family of a scheme that has a part in the
-/// input — what the item index is filled from, and what the sharded
-/// coordinator deals out to its shards.
-pub(crate) struct ItemKeys {
-    /// MinHash keys of the categorical part.
-    pub(crate) minhash: Option<FamilyKeys>,
-    /// SimHash keys of the numeric part, with the centring mean they were
-    /// hashed against.
-    pub(crate) simhash: Option<(FamilyKeys, Vec<f64>)>,
-}
-
-impl ItemKeys {
-    /// Hashes every item of `data` with each family of `cfg.scheme` that
-    /// has a part in it, seeded with `cfg.seed ^ D::ITEM_SALTS`; hashing
-    /// fans over `cfg.threads` and is byte-identical at any thread count.
-    pub(crate) fn hash<D: Modality>(data: &D, cfg: &FitParams) -> Self {
-        let minhash = cfg
-            .scheme
-            .minhash
-            .zip(data.categorical())
-            .map(|(banding, rows)| {
-                let builder = LshIndexBuilder::new(banding)
-                    .seed(cfg.seed ^ D::ITEM_SALTS.minhash)
-                    .mode(cfg.query_mode);
-                let keys = hash_band_keys_parallel(&builder, rows, cfg.threads);
-                FamilyKeys { builder, keys }
-            });
-        let simhash = cfg
-            .scheme
-            .simhash
-            .zip(data.numeric())
-            .map(|((bands, rows), points)| {
-                let seed = cfg.seed ^ D::ITEM_SALTS.simhash;
-                let family = SimHashIndex::new(points, bands, rows, seed);
-                let builder = family.builder().seed(seed).mode(cfg.query_mode);
-                let keys = family.band_keys(points, cfg.threads);
-                (FamilyKeys { builder, keys }, family.mean().to_vec())
-            });
-        Self { minhash, simhash }
-    }
-
-    /// The families in index order: MinHash first, then SimHash.
-    pub(crate) fn families(&self) -> impl Iterator<Item = &FamilyKeys> {
-        self.minhash
-            .iter()
-            .chain(self.simhash.iter().map(|(family, _)| family))
-    }
-
-    /// Fills one item index per family, every item referencing its cluster
-    /// in `assignments`.
-    pub(crate) fn into_indexes(self, assignments: &[ClusterId]) -> Vec<LshIndex> {
-        let simhash = self.simhash.map(|(family, _)| family);
-        self.minhash
-            .into_iter()
-            .chain(simhash)
-            .map(|family| {
-                family
-                    .builder
-                    .build_from_band_keys(family.keys, assignments)
-            })
-            .collect()
-    }
+/// The item index of a fit: every item of `data` hashed with each family
+/// of `cfg.scheme` that has a part in it, seeded with
+/// `cfg.seed ^ D::ITEM_SALTS` and fanned over `cfg.threads` (byte-identical
+/// at any thread count), its bucket entries referencing the item's cluster
+/// in `assignments`. Returns the shortlist provider over it and its bucket
+/// statistics.
+pub(crate) fn item_index<D: Modality>(
+    data: &D,
+    cfg: &FitParams,
+    assignments: &[ClusterId],
+) -> (D::Provider, IndexStats) {
+    let minhash = cfg
+        .scheme
+        .minhash
+        .zip(data.categorical())
+        .map(|(banding, rows)| {
+            let builder = LshIndexBuilder::new(banding)
+                .seed(cfg.seed ^ D::ITEM_SALTS.minhash)
+                .mode(cfg.query_mode);
+            let keys = hash_band_keys_parallel(&builder, rows, cfg.threads);
+            builder.build_from_band_keys(keys, assignments)
+        });
+    let simhash = cfg
+        .scheme
+        .simhash
+        .zip(data.numeric())
+        .map(|((bands, rows), points)| {
+            let seed = cfg.seed ^ D::ITEM_SALTS.simhash;
+            let family = SimHashIndex::new(points, bands, rows, seed);
+            let keys = family.band_keys(points, cfg.threads);
+            family
+                .builder()
+                .seed(seed)
+                .mode(cfg.query_mode)
+                .build_from_band_keys(keys, assignments)
+        });
+    let indexes: Vec<LshIndex> = minhash.into_iter().chain(simhash).collect();
+    let stats = combined_stats(indexes.iter().map(LshIndex::stats));
+    (D::provider(indexes, cfg.k, cfg.include_self), stats)
 }
 
 /// Bucket statistics over every family of an item index, as if one index
 /// held all of their bands.
-pub(crate) fn combined_stats(stats: impl IntoIterator<Item = IndexStats>) -> IndexStats {
+fn combined_stats(stats: impl IntoIterator<Item = IndexStats>) -> IndexStats {
     stats
         .into_iter()
         .reduce(|a, b| IndexStats {
@@ -523,9 +407,7 @@ pub fn fit_full<D: Modality>(
     let mut assignments = vec![ClusterId(0); data.n_items()];
     parallel::assign_full_parallel(&model, &mut assignments, cfg.threads);
     model.update_centroids_parallel(&assignments, cfg.threads);
-    let indexes = ItemKeys::hash(data, cfg).into_indexes(&assignments);
-    let index_stats = combined_stats(indexes.iter().map(LshIndex::stats));
-    let mut provider = D::provider(indexes, cfg.k, cfg.include_self);
+    let (mut provider, index_stats) = item_index(data, cfg, &assignments);
     let setup = setup_start.elapsed();
     let run = if cfg.threads <= 1 {
         framework::fit(

@@ -105,22 +105,33 @@ where
                 let (a, total) = jacobi_assign(model, &*provider, assignments, threads);
                 (a, total, 0)
             };
-            let mut moves = 0usize;
-            for (item, (&old, &new)) in assignments.iter().zip(&new_assignments).enumerate() {
-                if old != new {
-                    moves += 1;
-                    provider.record_assignment(item as u32, new);
-                }
-            }
-            *assignments = new_assignments;
             AssignOutcome {
-                moves,
+                moves: apply_moves(&mut *provider, assignments, new_assignments),
                 shortlist_total,
                 skipped,
             }
         },
         |model, assignments| model.update_centroids_parallel(assignments, threads),
     )
+}
+
+/// Ends a Jacobi pass: records every move with the provider (Algorithm 2's
+/// reference update, visible from the next pass on), installs the new
+/// assignments and returns the number of moves.
+pub(crate) fn apply_moves<P: ShortlistProvider>(
+    provider: &mut P,
+    assignments: &mut Vec<ClusterId>,
+    new_assignments: Vec<ClusterId>,
+) -> usize {
+    let mut moves = 0usize;
+    for (item, (&old, &new)) in assignments.iter().zip(&new_assignments).enumerate() {
+        if old != new {
+            moves += 1;
+            provider.record_assignment(item as u32, new);
+        }
+    }
+    *assignments = new_assignments;
+    moves
 }
 
 /// One Jacobi-style pass: shortlists and best-cluster searches run in
@@ -192,111 +203,109 @@ where
     M: CentroidModel + Sync,
     P: SyncShortlistProvider,
 {
-    let n = assignments.len();
-    assert_eq!(cache.len(), n, "one cache entry per item");
-    let framework::ShortlistCache { lists, valid } = cache;
+    assert_eq!(cache.len(), assignments.len(), "one cache entry per item");
+    let framework::Refresh {
+        items,
+        entries,
+        mut shortlist_total,
+        skipped,
+    } = cache.refresh(Some(activity));
     let mut new_assignments = assignments.to_vec();
-    let mut shortlist_total = 0usize;
-    let mut skipped = 0usize;
-    // Split items into skipped (cached answer provably unchanged) and todo.
-    let mut todo: Vec<u32> = Vec::new();
-    for item in 0..n {
-        if valid[item] && !activity.any_active_in(&lists[item]) {
-            shortlist_total += lists[item].len();
-            skipped += 1;
-        } else {
-            todo.push(item as u32);
-        }
-    }
-    if todo.is_empty() {
-        return (new_assignments, shortlist_total, skipped);
-    }
-    // Disjoint `&mut` cache entries for the todo items (ascending order), so
-    // workers write fresh shortlists straight into the cache without copies.
-    let mut entries: Vec<&mut Vec<ClusterId>> = Vec::with_capacity(todo.len());
-    let mut rest: &mut [Vec<ClusterId>] = lists;
-    let mut base = 0usize;
-    for &item in &todo {
-        let (_, tail) = rest.split_at_mut(item as usize - base);
-        let (slot, tail) = tail.split_first_mut().expect("todo item in range");
-        entries.push(slot);
-        rest = tail;
-        base = item as usize + 1;
-    }
-    let threads = threads.max(1).min(todo.len());
-    let results: Vec<(u32, u32)> = if threads <= 1 {
-        let mut scratch = provider.make_scratch();
-        todo.iter()
-            .zip(entries)
-            .map(|(&item, out)| {
-                provider.shortlist_into(item, &mut scratch, out);
-                let chosen = match model.best_among(item, out) {
-                    Some((c, _)) => c,
-                    None => assignments[item as usize],
-                };
-                (chosen.0, out.len() as u32)
-            })
-            .collect()
-    } else {
-        // Deal the todo items to worker buckets — contiguous runs, or
-        // round-robin under the interleaved schedule — remembering each
-        // item's position in `todo` so results scatter back in item order.
-        let chunk = todo.len().div_ceil(threads);
-        let worker_of = |pos: usize| {
-            if interleaved {
-                pos % threads
-            } else {
-                pos / chunk
-            }
-        };
-        let mut positions: Vec<Vec<usize>> = vec![Vec::new(); threads];
-        let mut items: Vec<Vec<u32>> = vec![Vec::new(); threads];
-        let mut buckets: Vec<Vec<&mut Vec<ClusterId>>> = (0..threads).map(|_| Vec::new()).collect();
-        for (pos, (&item, entry)) in todo.iter().zip(entries).enumerate() {
-            let w = worker_of(pos);
-            positions[w].push(pos);
-            items[w].push(item);
-            buckets[w].push(entry);
-        }
-        let per_worker: Vec<Vec<(u32, u32)>> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = items
-                .iter()
-                .zip(buckets)
-                .map(|(worker_items, worker_entries)| {
-                    scope.spawn(move |_| {
-                        let mut scratch = provider.make_scratch();
-                        worker_items
-                            .iter()
-                            .zip(worker_entries)
-                            .map(|(&item, out)| {
-                                provider.shortlist_into(item, &mut scratch, out);
-                                let chosen = match model.best_among(item, out) {
-                                    Some((c, _)) => c,
-                                    None => assignments[item as usize],
-                                };
-                                (chosen.0, out.len() as u32)
-                            })
-                            .collect::<Vec<(u32, u32)>>()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        })
-        .expect("jacobi_assign_closures worker panicked");
-        let mut results = vec![(0u32, 0u32); todo.len()];
-        for (worker_positions, worker_results) in positions.iter().zip(per_worker) {
-            for (&pos, value) in worker_positions.iter().zip(worker_results) {
-                results[pos] = value;
-            }
-        }
-        results
-    };
-    for (&item, (c, len)) in todo.iter().zip(results) {
+    let results = map_refreshed(
+        &items,
+        entries,
+        threads,
+        interleaved,
+        || provider.make_scratch(),
+        |item, out, scratch| {
+            provider.shortlist_into(item, scratch, out);
+            let chosen = match model.best_among(item, out) {
+                Some((c, _)) => c,
+                None => assignments[item as usize],
+            };
+            (chosen.0, out.len() as u32)
+        },
+    );
+    for (&item, (c, len)) in items.iter().zip(results) {
         new_assignments[item as usize] = ClusterId(c);
         shortlist_total += len as usize;
-        valid[item as usize] = true;
     }
     (new_assignments, shortlist_total, skipped)
+}
+
+/// Runs `f(item, entry, scratch)` over the items and cache entries a
+/// [`ShortlistCache::refresh`] handed out, fanned over `threads` scoped
+/// workers with one `init()` scratch each, and returns the results in item
+/// order. Workers take contiguous runs of the items, or deal them
+/// round-robin under the `interleaved` schedule (the way
+/// [`chunked_map_interleaved`] strides all items); each result is pure in
+/// its item, so the output depends on neither.
+pub(crate) fn map_refreshed<S, T, I, F>(
+    items: &[u32],
+    entries: Vec<&mut Vec<ClusterId>>,
+    threads: usize,
+    interleaved: bool,
+    init: I,
+    f: F,
+) -> Vec<T>
+where
+    T: Send + Clone + Default,
+    I: Fn() -> S + Sync,
+    F: Fn(u32, &mut Vec<ClusterId>, &mut S) -> T + Sync,
+{
+    if items.is_empty() {
+        return Vec::new();
+    }
+    let threads = threads.max(1).min(items.len());
+    if threads <= 1 {
+        let mut scratch = init();
+        return items
+            .iter()
+            .zip(entries)
+            .map(|(&item, out)| f(item, out, &mut scratch))
+            .collect();
+    }
+    // Deal the entries to the workers. Worker `w`'s `j`-th entry is the one
+    // at position `pos(w, j)`, and its result goes back there.
+    let chunk = items.len().div_ceil(threads);
+    let pos = |w: usize, j: usize| {
+        if interleaved {
+            w + j * threads
+        } else {
+            w * chunk + j
+        }
+    };
+    let mut dealt: Vec<Vec<&mut Vec<ClusterId>>> =
+        (0..threads).map(|_| Vec::with_capacity(chunk)).collect();
+    for (p, entry) in entries.into_iter().enumerate() {
+        let w = if interleaved { p % threads } else { p / chunk };
+        dealt[w].push(entry);
+    }
+    let per_worker: Vec<Vec<T>> = crossbeam::thread::scope(|scope| {
+        let handles: Vec<_> = dealt
+            .into_iter()
+            .enumerate()
+            .map(|(w, outs)| {
+                let (init, f, pos) = (&init, &f, &pos);
+                scope.spawn(move |_| {
+                    let mut scratch = init();
+                    outs.into_iter()
+                        .enumerate()
+                        .map(|(j, out)| f(items[pos(w, j)], out, &mut scratch))
+                        .collect::<Vec<T>>()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    })
+    .expect("map_refreshed worker panicked");
+    let mut results = vec![T::default(); items.len()];
+    for (w, worker_results) in per_worker.into_iter().enumerate() {
+        for (j, value) in worker_results.into_iter().enumerate() {
+            results[pos(w, j)] = value;
+        }
+    }
+    results
 }
 
 /// One **full-search assignment pass** fanned over `threads` workers — the
@@ -345,9 +354,7 @@ pub fn assign_full_parallel<M: CentroidModel + Sync>(
 /// item). The buffer is exactly what the serial [`LshIndexBuilder::build`]
 /// pass 1 emits, so feeding it back through
 /// [`LshIndexBuilder::build_from_band_keys`] (whose bucket fill walks items
-/// in ascending order) is byte-identical to a serial build — and the shard
-/// coordinator (`crate::shard`) uses the same buffer to deal each shard its
-/// items' keys.
+/// in ascending order) is byte-identical to a serial build.
 pub fn hash_band_keys_parallel(
     builder: &LshIndexBuilder,
     dataset: &Dataset,
@@ -497,8 +504,7 @@ where
 /// [`jacobi_assign`] under the interleaved schedule of
 /// [`chunked_map_interleaved`] — same frozen-state pass, same output (each
 /// item's decision is pure in the start-of-pass state), but skew-resistant
-/// scheduling. The shard workers of `crate::shard` use this for their local
-/// passes, where bucket skew concentrates in contiguous item ranges.
+/// scheduling where bucket skew concentrates in contiguous item ranges.
 pub fn jacobi_assign_interleaved<M, P>(
     model: &M,
     provider: &P,

@@ -1,78 +1,51 @@
-//! **Sharded fitting** — the coordinator/worker decomposition of the
-//! accelerated full fit, written once for every modality ([`shard_fit`]
-//! over [`Modality`]).
+//! **Sharded fitting** — the accelerated full fit with its scoring spread
+//! over shards that hold the rows, written once for every modality
+//! ([`shard_fit`] over [`Modality`]).
 //!
-//! The items (and with them the LSH bucket fills) are partitioned into `S`
-//! contiguous ranges by a [`ShardPlan`]. Each shard owns its range's rows
-//! plus its *own* [`LshIndex`] per hash family (MinHash keys, SimHash keys,
-//! or both for mixed data) built only over its items' band keys, and runs
-//! the existing Jacobi assignment locally through the
-//! [`SyncShortlistProvider`] seam. The coordinator owns the centroid model
-//! and runs the **same** `framework::drive` loop as the unsharded paths;
-//! each iteration is one round-trip:
+//! A [`ShardPlan`] partitions the items into `S` contiguous ranges, and each
+//! shard holds only its range's rows. The coordinator runs the unsharded
+//! Jacobi fit ([`crate::modality::fit_full`] at `threads > 1`) step for
+//! step: it hashes every item into the one item index, keeps the closure
+//! cache and its skip test, computes every shortlist, records every move in
+//! the index, and computes every centroid update and every cost. Only the
+//! best-cluster searches go to the shards:
 //!
 //! ```text
-//!   coordinator                         shard workers (× S)
-//!   ───────────                         ───────────────────
-//!   centroids + merged digests  ──────▶ local Jacobi pass over own items
-//!   merged digests ← sum/union ◀──────  assignments + key digest + sketch
-//!   centroid update (sketch / replay)
+//!   coordinator                                shard workers (× S)
+//!   ───────────                                ───────────────────
+//!   Init: each range's rows            ──────▶ hold the rows
+//!   AssignFull: centroids              ──────▶ full search over every local item
+//!   centroid update, item index        ◀──────  one cluster per local item
+//!   each pass: skip scan, shortlists
+//!   Pass: centroids, listed items      ──────▶ best of each listed item's
+//!         and their candidate lists            candidates
+//!   index moves, centroid update, cost ◀──────  one cluster per listed item
 //! ```
 //!
-//! Two pieces make the sharded fit **byte-identical** to the unsharded fit
-//! at equal seeds, for any shard count and any thread count:
-//!
-//! 1. **Merged key digests.** A shard's local index only sees collisions
-//!    among its own items, but the unsharded shortlist is a global set. So
-//!    every pass, each worker digests its index — per `(band, key)` bucket:
-//!    the item count and the distinct cluster references — and the
-//!    coordinator merges the digests into a global `(band, key) → clusters`
-//!    map that is redistributed with the next pass. A worker shortlists an
-//!    item by looking its own band keys up in the *merged* maps of every
-//!    family, which yields exactly the global candidate **set**; all three
-//!    `best_among` kernels are shortlist-order-insensitive, so set equality
-//!    suffices.
-//! 2. **Coordinator-side updates.** Workers emit per-cluster partial
-//!    statistics ([`ModeSketch`] value counts for the categorical modes)
-//!    and the coordinator feeds the merged statistics through the same
-//!    argmax the serial kernel uses. Numeric means are *replayed* by the
-//!    coordinator over the full data instead of summed from partial sums:
-//!    f64 addition is non-associative, so partial-sum merging would differ
-//!    from the serial sum in the last bits. The replay iterates members in
-//!    ascending item order — exactly the serial kernel's order — keeping
-//!    the update bit-identical.
-//!
-//! Hashing stays on the coordinator: MinHash keys depend on the global
-//! schema and SimHash keys on the *global* centring mean, so the
-//! coordinator hashes every item once (the same parallel kernels the
-//! unsharded builds use) and deals each shard its items' key slices.
-//! Workers never hash; their local `Dataset`s use an anonymous schema
-//! (the distance and mode kernels never consult it).
-//!
-//! The sharded pass is always the Jacobi pass (shards cannot see each
-//! other's intra-pass moves), so a sharded fit reproduces the unsharded
-//! fit at `threads > 1` — `lshclust` dispatches accordingly.
+//! A sharded fit is therefore **byte-identical** to the unsharded Jacobi
+//! fit at equal seeds, for any shard count and any thread count, by
+//! construction: the coordinator runs the same code, and a shard answers a
+//! listed item with the same `best_among` kernel over the same centroids and
+//! the same candidate list, in the same order, that the unsharded pass
+//! scores in place. An item with an empty shortlist keeps its cluster on the
+//! coordinator, as it does unsharded, and is not sent; a round with nothing
+//! to score is not sent at all.
 //!
 //! Everything here is transport-agnostic: [`InProcessTransport`] drives
 //! [`ShardWorker`]s in-process, and `lshclust::shard` adds the NDJSON
 //! multi-process transport over the same [`ShardRequest`]/[`ShardReply`]
-//! types.
+//! types. Capacity comes from the worker processes, each of which holds
+//! only its rows.
 
-use crate::framework::{
-    self, ActivitySet, AssignOutcome, CentroidModel, ShortlistCache, ShortlistProvider,
-};
+use crate::framework::{self, AssignOutcome, CentroidModel, Refresh, ShortlistCache};
 use crate::mhkmodes::{MhKModesConfig, MhKModesResult};
-use crate::modality::{combined_stats, FitParams, FitResult, ItemKeys, Modality};
+use crate::modality::{item_index, FitParams, FitResult, Modality};
 use crate::parallel::{self, SyncShortlistProvider};
 use lshclust_categorical::{ClusterId, Dataset, Schema, ValueId};
 use lshclust_kmodes::kmeans::NumericDataset;
 use lshclust_kmodes::kprototypes::{MixedDataset, Prototypes};
-use lshclust_kmodes::modes::{group_by_cluster, Modes, ValueCounts};
-use lshclust_minhash::hashfn::{FastMap, FastSet};
-use lshclust_minhash::index::{IndexParams, IndexStats, LshIndex, LshIndexBuilder};
-use lshclust_minhash::Banding;
+use lshclust_kmodes::modes::Modes;
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
-use std::cell::RefCell;
 use std::fmt;
 use std::ops::Range;
 use std::time::Instant;
@@ -132,342 +105,10 @@ impl ShardPlan {
         let hi = (lo + self.chunk).min(self.n_items);
         lo..hi
     }
-}
 
-// ---------------------------------------------------------------------------
-// Key digests: the global shortlist state exchanged between passes
-// ---------------------------------------------------------------------------
-
-/// One `(band, key)` bucket's summary: how many items fill it and which
-/// distinct clusters they currently reference (sorted, deduplicated).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DigestEntry {
-    /// Band index.
-    pub band: u32,
-    /// Band key (bucket identity within the band).
-    pub key: u64,
-    /// Items in the bucket (summed across shards after a merge).
-    pub items: u64,
-    /// Distinct cluster references of the bucket's items, ascending.
-    pub clusters: Vec<ClusterId>,
-}
-
-serde::impl_serde_struct!(DigestEntry {
-    band,
-    key,
-    items,
-    clusters
-});
-
-impl DigestEntry {
-    fn of(band: usize, key: u64, members: &[u32], cluster_of: impl Fn(u32) -> ClusterId) -> Self {
-        let mut clusters: Vec<ClusterId> = members.iter().map(|&i| cluster_of(i)).collect();
-        clusters.sort_unstable();
-        clusters.dedup();
-        Self {
-            band: band as u32,
-            key,
-            items: members.len() as u64,
-            clusters,
-        }
-    }
-}
-
-/// A whole index's bucket summary, canonically sorted by `(band, key)` —
-/// what each shard emits after a pass and what the coordinator merges and
-/// redistributes. The merged digest of the per-shard indexes describes
-/// exactly the buckets of the unsharded index over the same keys.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct KeyDigest {
-    /// Bucket summaries, ascending by `(band, key)`.
-    pub entries: Vec<DigestEntry>,
-}
-
-serde::impl_serde_struct!(KeyDigest { entries });
-
-impl KeyDigest {
-    fn canonical(mut entries: Vec<DigestEntry>) -> Self {
-        entries.sort_unstable_by_key(|e| (e.band, e.key));
-        Self { entries }
-    }
-
-    /// Digests an item index (MinHash or SimHash keys): one entry per
-    /// filled bucket, with the current cluster references.
-    pub fn of_lsh(index: &LshIndex) -> Self {
-        let mut entries = Vec::new();
-        index.for_each_bucket(|band, key, members| {
-            entries.push(DigestEntry::of(band, key, members, |i| index.cluster_of(i)));
-        });
-        Self::canonical(entries)
-    }
-
-    /// Merges per-shard digests: equal `(band, key)` entries sum their item
-    /// counts and union their cluster sets. Shards partition the items, so
-    /// the merge equals the digest of the unsharded index.
-    pub fn merged(shards: impl IntoIterator<Item = KeyDigest>) -> Self {
-        let mut entries: Vec<DigestEntry> = shards.into_iter().flat_map(|d| d.entries).collect();
-        entries.sort_unstable_by_key(|e| (e.band, e.key));
-        let mut out: Vec<DigestEntry> = Vec::new();
-        for e in entries {
-            match out.last_mut() {
-                Some(last) if last.band == e.band && last.key == e.key => {
-                    last.items += e.items;
-                    last.clusters.extend(e.clusters);
-                    last.clusters.sort_unstable();
-                    last.clusters.dedup();
-                }
-                _ => out.push(e),
-            }
-        }
-        Self { entries: out }
-    }
-
-    /// Reconstructs the unsharded index's bucket statistics from the merged
-    /// digest (each entry is one bucket; its `items` is the fill).
-    pub fn stats(&self, n_items: usize, n_bands: u32) -> IndexStats {
-        let mut total_entries = 0usize;
-        let mut largest_bucket = 0usize;
-        for e in &self.entries {
-            total_entries += e.items as usize;
-            largest_bucket = largest_bucket.max(e.items as usize);
-        }
-        IndexStats {
-            n_items,
-            n_bands,
-            n_buckets: self.entries.len(),
-            total_entries,
-            largest_bucket,
-        }
-    }
-}
-
-/// A shard-local [`SyncShortlistProvider`] over the **merged global**
-/// digests, one per hash family: shortlisting a local item looks its
-/// precomputed band keys up in the per-band `(key → clusters)` maps built
-/// from each digest, yielding the same candidate set the unsharded index
-/// would (the digest's cluster sets are global; a mixed item's set is the
-/// union over both families). `record_assignment` is a no-op — under the
-/// Jacobi pass the digests are frozen for the whole pass and rebuilt
-/// wholesale afterwards, which is exactly when the unsharded pass's
-/// recorded moves become visible.
-pub struct DigestShortlistProvider<'a> {
-    families: Vec<DigestFamily<'a>>,
-    seen: FastSet<u32>,
-}
-
-struct DigestFamily<'a> {
-    band_keys: &'a [u64],
-    n_bands: usize,
-    lookup: Vec<FastMap<u64, Vec<ClusterId>>>,
-}
-
-impl<'a> DigestShortlistProvider<'a> {
-    /// Builds the per-band lookups from merged digests, one
-    /// `(digest, bands, band_keys)` per family with the shard's local
-    /// item-major keys (`local_items × bands`) of that family.
-    pub fn new<'d>(families: impl IntoIterator<Item = (&'d KeyDigest, usize, &'a [u64])>) -> Self {
-        let families = families
-            .into_iter()
-            .map(|(digest, n_bands, band_keys)| {
-                assert!(
-                    band_keys.len().is_multiple_of(n_bands.max(1)),
-                    "band-key buffer is not item-major n_items × bands"
-                );
-                let mut lookup: Vec<FastMap<u64, Vec<ClusterId>>> =
-                    (0..n_bands).map(|_| FastMap::default()).collect();
-                for e in &digest.entries {
-                    if let Some(map) = lookup.get_mut(e.band as usize) {
-                        map.insert(e.key, e.clusters.clone());
-                    }
-                }
-                DigestFamily {
-                    band_keys,
-                    n_bands,
-                    lookup,
-                }
-            })
-            .collect();
-        Self {
-            families,
-            seen: FastSet::default(),
-        }
-    }
-
-    fn query(&self, item: u32, seen: &mut FastSet<u32>, out: &mut Vec<ClusterId>) {
-        out.clear();
-        seen.clear();
-        for family in &self.families {
-            let start = item as usize * family.n_bands;
-            for (band, map) in family.lookup.iter().enumerate() {
-                let key = family.band_keys[start + band];
-                if let Some(clusters) = map.get(&key) {
-                    for &c in clusters {
-                        if seen.insert(c.0) {
-                            out.push(c);
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl ShortlistProvider for DigestShortlistProvider<'_> {
-    fn shortlist(&mut self, item: u32, out: &mut Vec<ClusterId>) {
-        let mut seen = std::mem::take(&mut self.seen);
-        self.query(item, &mut seen, out);
-        self.seen = seen;
-    }
-
-    fn record_assignment(&mut self, _item: u32, _cluster: ClusterId) {
-        // Frozen for the pass; the worker rebuilds the digest afterwards.
-    }
-}
-
-impl SyncShortlistProvider for DigestShortlistProvider<'_> {
-    type Scratch = FastSet<u32>;
-
-    fn make_scratch(&self) -> FastSet<u32> {
-        FastSet::default()
-    }
-
-    fn shortlist_into(&self, item: u32, scratch: &mut FastSet<u32>, out: &mut Vec<ClusterId>) {
-        self.query(item, scratch, out);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Mode sketches: partial categorical statistics
-// ---------------------------------------------------------------------------
-
-/// One attribute value's occurrence count within a cluster.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ValueCount {
-    /// The raw attribute value (`ValueId` bits; `NOT_PRESENT` counts too,
-    /// exactly as the serial mode kernel counts it).
-    pub value: u32,
-    /// Occurrences among the cluster's members.
-    pub count: u64,
-}
-
-serde::impl_serde_struct!(ValueCount { value, count });
-
-/// Per-cluster categorical statistics of one shard's assignment state: for
-/// every `(cluster, attribute)` cell, the value-occurrence counts (sorted
-/// by value), plus the member count per cluster. Merging the shards'VALUE
-/// sketches and taking the per-cell argmax reproduces the serial mode
-/// update — the argmax (highest count, ties to the smallest value) has a
-/// unique winner, so the result is independent of merge order.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ModeSketch {
-    /// Cluster count.
-    pub k: usize,
-    /// Attribute count.
-    pub n_attrs: usize,
-    /// Members per cluster (summed across shards after a merge).
-    pub members: Vec<u64>,
-    /// `k × n_attrs` cells, cluster-major; each cell's counts are ascending
-    /// by value.
-    pub counts: Vec<Vec<ValueCount>>,
-}
-
-serde::impl_serde_struct!(ModeSketch {
-    k,
-    n_attrs,
-    members,
-    counts
-});
-
-impl ModeSketch {
-    /// Counts a shard's local items into per-cluster value statistics.
-    pub fn from_assignments(dataset: &Dataset, assignments: &[ClusterId], k: usize) -> Self {
-        assert_eq!(assignments.len(), dataset.n_items());
-        let n_attrs = dataset.n_attrs();
-        let groups = group_by_cluster(assignments, k);
-        let mut members = vec![0u64; k];
-        let mut counts: Vec<Vec<ValueCount>> = vec![Vec::new(); k * n_attrs];
-        let mut values = ValueCounts::default();
-        for c in 0..k {
-            let m = groups.members(c);
-            members[c] = m.len() as u64;
-            values.count(dataset, m);
-            for attr in 0..n_attrs {
-                counts[c * n_attrs + attr] = values
-                    .runs(attr)
-                    .map(|(v, n)| ValueCount {
-                        value: v.0,
-                        count: u64::from(n),
-                    })
-                    .collect();
-            }
-        }
-        Self {
-            k,
-            n_attrs,
-            members,
-            counts,
-        }
-    }
-
-    /// Adds another shard's statistics (merge-join per cell).
-    pub fn merge(&mut self, other: &ModeSketch) -> Result<(), ShardError> {
-        if self.k != other.k || self.n_attrs != other.n_attrs {
-            return Err(ShardError(format!(
-                "sketch shape mismatch: {}×{} vs {}×{}",
-                self.k, self.n_attrs, other.k, other.n_attrs
-            )));
-        }
-        for (m, &o) in self.members.iter_mut().zip(&other.members) {
-            *m += o;
-        }
-        for (cell, other_cell) in self.counts.iter_mut().zip(&other.counts) {
-            let mine = std::mem::take(cell);
-            let (mut a, mut b) = (mine.into_iter().peekable(), other_cell.iter().peekable());
-            loop {
-                match (a.peek(), b.peek()) {
-                    (Some(x), Some(y)) if x.value == y.value => {
-                        let mut vc = a.next().expect("peeked");
-                        vc.count += b.next().expect("peeked").count;
-                        cell.push(vc);
-                    }
-                    (Some(x), Some(y)) if x.value < y.value => cell.push(a.next().expect("peeked")),
-                    (Some(_), Some(_)) | (None, Some(_)) => {
-                        cell.push(*b.next().expect("peeked"));
-                    }
-                    (Some(_), None) => cell.push(a.next().expect("peeked")),
-                    (None, None) => break,
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Applies the merged statistics as the new modes: per cell, the value
-    /// with the highest count (ties to the smallest value — the serial
-    /// kernel's exact tie-break); clusters with no members keep their mode.
-    pub fn apply(&self, modes: &mut Modes) {
-        assert_eq!(modes.k(), self.k, "sketch k disagrees with modes");
-        assert_eq!(modes.n_attrs(), self.n_attrs, "sketch arity disagrees");
-        let mut mode = Vec::with_capacity(self.n_attrs);
-        for c in 0..self.k {
-            if self.members[c] == 0 {
-                continue;
-            }
-            mode.clear();
-            for attr in 0..self.n_attrs {
-                let cell = &self.counts[c * self.n_attrs + attr];
-                // Cells are ascending by value, so strict `>` keeps the
-                // smallest value among tied counts.
-                let mut best = cell[0];
-                for &vc in &cell[1..] {
-                    if vc.count > best.count {
-                        best = vc;
-                    }
-                }
-                mode.push(ValueId(best.value));
-            }
-            modes.set_mode(ClusterId(c as u32), &mode);
-        }
+    /// The shard whose range holds `item`.
+    fn shard_of(&self, item: usize) -> usize {
+        item / self.chunk
     }
 }
 
@@ -475,70 +116,38 @@ impl ModeSketch {
 // Protocol types
 // ---------------------------------------------------------------------------
 
-/// Per-shard categorical setup: local rows plus precomputed MinHash keys.
+/// A shard's categorical rows.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CatShardInit {
     /// Attribute count (local items = `values.len() / n_attrs`).
     pub n_attrs: usize,
     /// Local rows, item-major.
     pub values: Vec<ValueId>,
-    /// MinHash index parameters (banding, seed, query mode) — the worker
-    /// rebuilds its local index from these plus the keys.
-    pub params: IndexParams,
-    /// Local items' band keys, item-major (`local_items × bands`), hashed
-    /// by the coordinator against the global schema.
-    pub band_keys: Vec<u64>,
 }
 
-serde::impl_serde_struct!(CatShardInit {
-    n_attrs,
-    values,
-    params,
-    band_keys
-});
+serde::impl_serde_struct!(CatShardInit { n_attrs, values });
 
-/// Per-shard numeric setup: local rows plus precomputed SimHash keys.
+/// A shard's numeric rows.
 #[derive(Clone, Debug, PartialEq)]
 pub struct NumShardInit {
     /// Vector dimensionality.
     pub dim: usize,
     /// Local rows, item-major (`local_items × dim`).
     pub values: Vec<f64>,
-    /// SimHash bands.
-    pub bands: u32,
-    /// SimHash bits per band.
-    pub rows: u32,
-    /// Hyperplane seed (already salted by the coordinator).
-    pub seed: u64,
-    /// The **global** centring mean the coordinator hashed against.
-    pub mean: Vec<f64>,
-    /// Local items' band keys, item-major (`local_items × bands`).
-    pub band_keys: Vec<u64>,
 }
 
-serde::impl_serde_struct!(NumShardInit {
-    dim,
-    values,
-    bands,
-    rows,
-    seed,
-    mean,
-    band_keys
-});
+serde::impl_serde_struct!(NumShardInit { dim, values });
 
-/// The `Init` payload: which modality the worker serves (categorical-only,
-/// numeric-only, or both = mixed) plus the shared fit parameters.
+/// The `Init` payload: the shard's rows — categorical only, numeric only,
+/// or both for mixed data — and the parameters of its scoring.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ShardInit {
     /// Cluster count.
     pub k: usize,
-    /// Worker-local assignment threads.
+    /// Worker-local scoring threads.
     pub threads: usize,
     /// K-Prototypes mixing weight (ignored unless mixed).
     pub gamma: f64,
-    /// Cluster-closure incremental assignment: workers skip items whose
-    /// cached shortlist touches no broadcast-active cluster.
-    pub closures: bool,
     /// Categorical side (present for categorical and mixed fits).
     pub categorical: Option<CatShardInit>,
     /// Numeric side (present for numeric and mixed fits).
@@ -549,12 +158,11 @@ serde::impl_serde_struct!(ShardInit {
     k,
     threads,
     gamma,
-    closures,
     categorical,
     numeric
 });
 
-/// The centroids broadcast with every assignment round.
+/// The centroids sent with every scoring round.
 #[derive(Clone, Debug, PartialEq)]
 pub enum CentroidSet {
     /// Categorical modes.
@@ -594,110 +202,103 @@ impl Serialize for CentroidSet {
 
 impl Deserialize for CentroidSet {
     fn from_value(v: &Value) -> Result<Self, SerdeError> {
-        let entries = v
-            .as_object()
-            .ok_or_else(|| SerdeError::expected("object", "CentroidSet"))?;
-        let [(tag, body)] = entries else {
-            return Err(SerdeError::expected("single-variant object", "CentroidSet"));
-        };
-        match tag.as_str() {
-            "Modes" => Ok(CentroidSet::Modes(Modes::from_value(body)?)),
-            "Means" => {
-                let fields = body
-                    .as_object()
-                    .ok_or_else(|| SerdeError::expected("object", "CentroidSet::Means"))?;
+        match variant(v, "CentroidSet")? {
+            ("Modes", body) => Ok(CentroidSet::Modes(Modes::from_value(body)?)),
+            ("Means", body) => {
+                let fields = fields(body, "CentroidSet::Means")?;
                 Ok(CentroidSet::Means {
                     k: serde::field(fields, "k", "CentroidSet::Means")?,
                     dim: serde::field(fields, "dim", "CentroidSet::Means")?,
                     values: serde::field(fields, "values", "CentroidSet::Means")?,
                 })
             }
-            "Prototypes" => Ok(CentroidSet::Prototypes(Prototypes::from_value(body)?)),
-            other => Err(SerdeError(format!("unknown CentroidSet variant `{other}`"))),
+            ("Prototypes", body) => Ok(CentroidSet::Prototypes(Prototypes::from_value(body)?)),
+            (other, _) => Err(SerdeError(format!("unknown CentroidSet variant `{other}`"))),
         }
     }
 }
 
-/// What a shard sends back after an assignment round.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ShardUpdate {
-    /// New assignments of the shard's items, range-local order.
-    pub assignments: Vec<ClusterId>,
-    /// Items that changed cluster (vs the shard's previous state).
-    pub moves: u64,
-    /// Summed shortlist sizes over the shard's items.
-    pub shortlist_total: u64,
-    /// Items whose re-evaluation the cluster-closure active set skipped
-    /// (`0` with closures off and on full-assignment rounds).
-    pub skipped: u64,
-    /// Fresh digests of the shard's indexes (one per index; mixed fits
-    /// carry `[minhash, simhash]`).
-    pub digests: Vec<KeyDigest>,
-    /// Categorical statistics (present when the fit has a categorical side).
-    pub sketch: Option<ModeSketch>,
+/// The tag and body of an externally tagged variant: a unit variant is a
+/// bare string (its own body), any other a single-entry object.
+fn variant<'v>(v: &'v Value, what: &str) -> Result<(&'v str, &'v Value), SerdeError> {
+    match (v.as_str(), v.as_object()) {
+        (Some(tag), _) => Ok((tag, v)),
+        (_, Some([(tag, body)])) => Ok((tag, body)),
+        _ => Err(SerdeError::expected("variant", what)),
+    }
 }
 
-serde::impl_serde_struct!(ShardUpdate {
-    assignments,
-    moves,
-    shortlist_total,
-    skipped,
-    digests,
-    sketch
-});
+/// The fields of a struct variant's body.
+fn fields<'v>(body: &'v Value, what: &str) -> Result<&'v [(String, Value)], SerdeError> {
+    body.as_object()
+        .ok_or_else(|| SerdeError::expected("object", what))
+}
 
 /// Coordinator → worker messages (one NDJSON line each on the multi-process
 /// transport).
 #[derive(Clone, Debug, PartialEq)]
 pub enum ShardRequest {
-    /// Hand the worker its item range's data and parameters.
+    /// Hand the worker its item range's rows and scoring parameters.
     Init(ShardInit),
-    /// Full-search-assign every local item against the broadcast centroids
-    /// (the setup pass before any index exists), then build the local
-    /// index(es) and digest them.
+    /// Full-search every local item against the centroids (the set-up pass,
+    /// before the item index exists); answered with one cluster per local
+    /// item.
     AssignFull {
-        /// The current global centroids.
+        /// The current centroids.
         centroids: CentroidSet,
     },
-    /// One shortlisted Jacobi pass over the local items against the merged
-    /// global digests.
+    /// Score the listed items, each among its own candidate clusters;
+    /// answered with one cluster per listed item.
     Pass {
-        /// The current global centroids.
+        /// The current centroids.
         centroids: CentroidSet,
-        /// Merged digests, one per index (`[minhash]`, `[simhash]`, or
-        /// `[minhash, simhash]` for mixed).
-        digests: Vec<KeyDigest>,
-        /// The **global** active clusters for this pass (ascending ids):
-        /// clusters whose centroid changed in the last update, plus both
-        /// endpoints of every move in the previous pass. Workers with
-        /// closures enabled skip items whose cached shortlist avoids all of
-        /// them; ignored otherwise.
-        active: Vec<u32>,
+        /// Local ids of the items to score.
+        items: Vec<u32>,
+        /// `ends[i]` is where item `i`'s list ends in `candidates`; it
+        /// starts where item `i - 1`'s ends (item 0's at 0). Every list is
+        /// non-empty.
+        ends: Vec<usize>,
+        /// The items' candidate lists, back to back.
+        candidates: Vec<ClusterId>,
     },
     /// Terminate (multi-process workers exit their loop).
     Shutdown,
+}
+
+/// The body of a struct variant in the externally tagged wire form.
+fn tagged(tag: &str, fields: Vec<(&str, Value)>) -> Value {
+    Value::Object(vec![(
+        tag.to_owned(),
+        Value::Object(
+            fields
+                .into_iter()
+                .map(|(name, value)| (name.to_owned(), value))
+                .collect(),
+        ),
+    )])
 }
 
 impl Serialize for ShardRequest {
     fn to_value(&self) -> Value {
         match self {
             ShardRequest::Init(init) => Value::Object(vec![("Init".to_owned(), init.to_value())]),
-            ShardRequest::AssignFull { centroids } => Value::Object(vec![(
-                "AssignFull".to_owned(),
-                Value::Object(vec![("centroids".to_owned(), centroids.to_value())]),
-            )]),
+            ShardRequest::AssignFull { centroids } => {
+                tagged("AssignFull", vec![("centroids", centroids.to_value())])
+            }
             ShardRequest::Pass {
                 centroids,
-                digests,
-                active,
-            } => Value::Object(vec![(
-                "Pass".to_owned(),
-                Value::Object(vec![
-                    ("centroids".to_owned(), centroids.to_value()),
-                    ("digests".to_owned(), digests.to_value()),
-                    ("active".to_owned(), active.to_value()),
-                ]),
-            )]),
+                items,
+                ends,
+                candidates,
+            } => tagged(
+                "Pass",
+                vec![
+                    ("centroids", centroids.to_value()),
+                    ("items", items.to_value()),
+                    ("ends", ends.to_value()),
+                    ("candidates", candidates.to_value()),
+                ],
+            ),
             ShardRequest::Shutdown => Value::String("Shutdown".to_owned()),
         }
     }
@@ -705,39 +306,25 @@ impl Serialize for ShardRequest {
 
 impl Deserialize for ShardRequest {
     fn from_value(v: &Value) -> Result<Self, SerdeError> {
-        if let Some("Shutdown") = v.as_str() {
-            return Ok(ShardRequest::Shutdown);
-        }
-        let entries = v
-            .as_object()
-            .ok_or_else(|| SerdeError::expected("object", "ShardRequest"))?;
-        let [(tag, body)] = entries else {
-            return Err(SerdeError::expected(
-                "single-variant object",
-                "ShardRequest",
-            ));
-        };
-        match tag.as_str() {
-            "Init" => Ok(ShardRequest::Init(ShardInit::from_value(body)?)),
-            "AssignFull" => {
-                let fields = body
-                    .as_object()
-                    .ok_or_else(|| SerdeError::expected("object", "ShardRequest::AssignFull"))?;
+        match variant(v, "ShardRequest")? {
+            ("Shutdown", _) => Ok(ShardRequest::Shutdown),
+            ("Init", body) => Ok(ShardRequest::Init(ShardInit::from_value(body)?)),
+            ("AssignFull", body) => {
+                let fields = fields(body, "ShardRequest::AssignFull")?;
                 Ok(ShardRequest::AssignFull {
                     centroids: serde::field(fields, "centroids", "ShardRequest::AssignFull")?,
                 })
             }
-            "Pass" => {
-                let fields = body
-                    .as_object()
-                    .ok_or_else(|| SerdeError::expected("object", "ShardRequest::Pass"))?;
+            ("Pass", body) => {
+                let fields = fields(body, "ShardRequest::Pass")?;
                 Ok(ShardRequest::Pass {
                     centroids: serde::field(fields, "centroids", "ShardRequest::Pass")?,
-                    digests: serde::field(fields, "digests", "ShardRequest::Pass")?,
-                    active: serde::field(fields, "active", "ShardRequest::Pass")?,
+                    items: serde::field(fields, "items", "ShardRequest::Pass")?,
+                    ends: serde::field(fields, "ends", "ShardRequest::Pass")?,
+                    candidates: serde::field(fields, "candidates", "ShardRequest::Pass")?,
                 })
             }
-            other => Err(SerdeError(format!(
+            (other, _) => Err(SerdeError(format!(
                 "unknown ShardRequest variant `{other}`"
             ))),
         }
@@ -749,8 +336,12 @@ impl Deserialize for ShardRequest {
 pub enum ShardReply {
     /// `Init` accepted.
     Ready,
-    /// An assignment round's result.
-    Update(ShardUpdate),
+    /// A scoring round's result.
+    Update {
+        /// The best cluster of each scored item, in request order: every
+        /// local item for `AssignFull`, every listed item for `Pass`.
+        assignments: Vec<ClusterId>,
+    },
     /// `Shutdown` acknowledged; the worker is exiting.
     Done,
     /// The worker could not serve the request.
@@ -764,41 +355,35 @@ impl Serialize for ShardReply {
     fn to_value(&self) -> Value {
         match self {
             ShardReply::Ready => Value::String("Ready".to_owned()),
-            ShardReply::Update(u) => Value::Object(vec![("Update".to_owned(), u.to_value())]),
+            ShardReply::Update { assignments } => {
+                tagged("Update", vec![("assignments", assignments.to_value())])
+            }
             ShardReply::Done => Value::String("Done".to_owned()),
-            ShardReply::Error { message } => Value::Object(vec![(
-                "Error".to_owned(),
-                Value::Object(vec![("message".to_owned(), message.to_value())]),
-            )]),
+            ShardReply::Error { message } => tagged("Error", vec![("message", message.to_value())]),
         }
     }
 }
 
 impl Deserialize for ShardReply {
     fn from_value(v: &Value) -> Result<Self, SerdeError> {
-        match v.as_str() {
-            Some("Ready") => return Ok(ShardReply::Ready),
-            Some("Done") => return Ok(ShardReply::Done),
-            Some(other) => return Err(SerdeError(format!("unknown ShardReply variant `{other}`"))),
-            None => {}
-        }
-        let entries = v
-            .as_object()
-            .ok_or_else(|| SerdeError::expected("object", "ShardReply"))?;
-        let [(tag, body)] = entries else {
-            return Err(SerdeError::expected("single-variant object", "ShardReply"));
-        };
-        match tag.as_str() {
-            "Update" => Ok(ShardReply::Update(ShardUpdate::from_value(body)?)),
-            "Error" => {
-                let fields = body
-                    .as_object()
-                    .ok_or_else(|| SerdeError::expected("object", "ShardReply::Error"))?;
-                Ok(ShardReply::Error {
-                    message: serde::field(fields, "message", "ShardReply::Error")?,
-                })
-            }
-            other => Err(SerdeError(format!("unknown ShardReply variant `{other}`"))),
+        match variant(v, "ShardReply")? {
+            ("Ready", _) => Ok(ShardReply::Ready),
+            ("Done", _) => Ok(ShardReply::Done),
+            ("Update", body) => Ok(ShardReply::Update {
+                assignments: serde::field(
+                    fields(body, "ShardReply::Update")?,
+                    "assignments",
+                    "ShardReply::Update",
+                )?,
+            }),
+            ("Error", body) => Ok(ShardReply::Error {
+                message: serde::field(
+                    fields(body, "ShardReply::Error")?,
+                    "message",
+                    "ShardReply::Error",
+                )?,
+            }),
+            (other, _) => Err(SerdeError(format!("unknown ShardReply variant `{other}`"))),
         }
     }
 }
@@ -807,108 +392,31 @@ impl Deserialize for ShardReply {
 // Workers
 // ---------------------------------------------------------------------------
 
-/// One hash family of a shard: its items' band keys, hashed by the
-/// coordinator, and — after the first full assignment — the local index
-/// filled from them. The worker never hashes.
-struct ShardIndex {
-    builder: LshIndexBuilder,
-    band_keys: Vec<u64>,
-    index: Option<LshIndex>,
-}
-
-impl ShardIndex {
-    fn new(builder: LshIndexBuilder, band_keys: Vec<u64>, n: usize) -> Result<Self, ShardError> {
-        let n_bands = builder.params().banding.bands() as usize;
-        if band_keys.len() != n * n_bands {
-            return Err(ShardError(format!(
-                "band keys ({}) disagree with {n} items × {n_bands} bands",
-                band_keys.len()
-            )));
-        }
-        Ok(Self {
-            builder,
-            band_keys,
-            index: None,
-        })
-    }
-
-    fn n_bands(&self) -> usize {
-        self.builder.params().banding.bands() as usize
-    }
-
-    fn digest(&self) -> KeyDigest {
-        KeyDigest::of_lsh(self.index.as_ref().expect("index built"))
-    }
-}
-
-/// The categorical rows of an `Init` and their MinHash family.
-fn categorical_side(init: CatShardInit) -> Result<(Dataset, ShardIndex), ShardError> {
-    if init.n_attrs == 0 {
-        return Err(ShardError("categorical init with zero attributes".into()));
-    }
-    if !init.values.len().is_multiple_of(init.n_attrs) {
-        return Err(ShardError(format!(
-            "categorical values ({}) are not a multiple of n_attrs ({})",
-            init.values.len(),
-            init.n_attrs
-        )));
-    }
-    let n = init.values.len() / init.n_attrs;
-    let index = ShardIndex::new(LshIndexBuilder::from_params(init.params), init.band_keys, n)?;
-    // An anonymous schema suffices: the distance/mode kernels only read
-    // raw `ValueId`s, and hashing already happened on the coordinator.
-    let dataset = Dataset::from_parts(Schema::anonymous(init.n_attrs), init.values, None);
-    Ok((dataset, index))
-}
-
-/// The numeric rows of an `Init` and their SimHash family.
-fn numeric_side(init: NumShardInit) -> Result<(NumericDataset, ShardIndex), ShardError> {
-    if init.dim == 0 {
-        return Err(ShardError("numeric init with zero dimensions".into()));
-    }
-    if !init.values.len().is_multiple_of(init.dim) {
-        return Err(ShardError(format!(
-            "numeric values ({}) are not a multiple of dim ({})",
-            init.values.len(),
-            init.dim
-        )));
-    }
-    if init.bands == 0 || init.rows == 0 {
-        return Err(ShardError(format!(
-            "numeric banding {}×{} is not positive",
-            init.bands, init.rows
-        )));
-    }
-    if init.mean.len() != init.dim {
-        return Err(ShardError("centring mean disagrees with dim".into()));
-    }
-    let n = init.values.len() / init.dim;
-    let builder = LshIndexBuilder::new(Banding::new(init.bands, init.rows)).seed(init.seed);
-    let index = ShardIndex::new(builder, init.band_keys, n)?;
-    Ok((NumericDataset::new(init.dim, init.values), index))
-}
-
-/// One shard's in-process state: its rows, one local index per hash family
-/// (MinHash first), and its current local assignments. Serves
-/// [`ShardRequest`]s; the same type backs both [`InProcessTransport`] and
-/// the NDJSON worker loop in `lshclust::shard`.
+/// One shard: its rows and the parameters of its scoring. It keeps no fit
+/// state between requests. Serves [`ShardRequest`]s; the same type backs
+/// both [`InProcessTransport`] and the NDJSON worker loop in
+/// `lshclust::shard`.
 pub struct ShardWorker {
     categorical: Option<Dataset>,
     numeric: Option<NumericDataset>,
-    state: ShardState,
-}
-
-/// A worker's fit state beside its rows.
-struct ShardState {
+    n_items: usize,
     k: usize,
     threads: usize,
     gamma: f64,
-    closures: bool,
-    indexes: Vec<ShardIndex>,
-    assignments: Vec<ClusterId>,
-    /// Per-item cached shortlists for the cluster-closure skip; reset on
-    /// every `AssignFull` (the indexes it reads are rebuilt there).
-    cache: ShortlistCache,
+}
+
+/// The item count of `len` item-major values, `width` (named `field`) per
+/// item.
+fn row_count(side: &str, field: &str, width: usize, len: usize) -> Result<usize, ShardError> {
+    if width == 0 {
+        return Err(ShardError(format!("{side} init with zero {field}")));
+    }
+    if !len.is_multiple_of(width) {
+        return Err(ShardError(format!(
+            "{side} values ({len}) are not a multiple of {field} ({width})"
+        )));
+    }
+    Ok(len / width)
 }
 
 impl ShardWorker {
@@ -917,171 +425,155 @@ impl ShardWorker {
         if init.k == 0 {
             return Err(ShardError("k must be positive".into()));
         }
-        let (categorical, minhash) = init.categorical.map(categorical_side).transpose()?.unzip();
-        let (numeric, simhash) = init.numeric.map(numeric_side).transpose()?.unzip();
-        let n = match (&categorical, &numeric) {
-            (Some(c), Some(s)) => {
-                if c.n_items() != s.n_items() {
-                    return Err(ShardError(format!(
-                        "categorical items ({}) disagree with numeric items ({})",
-                        c.n_items(),
-                        s.n_items()
-                    )));
-                }
-                c.n_items()
+        let cat_items = init
+            .categorical
+            .as_ref()
+            .map(|c| row_count("categorical", "n_attrs", c.n_attrs, c.values.len()))
+            .transpose()?;
+        let num_items = init
+            .numeric
+            .as_ref()
+            .map(|s| row_count("numeric", "dim", s.dim, s.values.len()))
+            .transpose()?;
+        let n_items = match (cat_items, num_items) {
+            (Some(c), Some(s)) if c != s => {
+                return Err(ShardError(format!(
+                    "categorical items ({c}) disagree with numeric items ({s})"
+                )))
             }
-            (Some(c), None) => c.n_items(),
-            (None, Some(s)) => s.n_items(),
+            (Some(n), _) | (None, Some(n)) => n,
             (None, None) => return Err(ShardError("init carries no modality".into())),
         };
+        // An anonymous schema suffices: the distance kernels only read raw
+        // `ValueId`s, and hashing happens on the coordinator.
         Ok(Self {
-            categorical,
-            numeric,
-            state: ShardState {
-                k: init.k,
-                threads: init.threads.max(1),
-                gamma: init.gamma,
-                closures: init.closures,
-                indexes: minhash.into_iter().chain(simhash).collect(),
-                assignments: vec![ClusterId(0); n],
-                cache: ShortlistCache::new(n),
-            },
+            categorical: init
+                .categorical
+                .map(|c| Dataset::from_parts(Schema::anonymous(c.n_attrs), c.values, None)),
+            numeric: init.numeric.map(|s| NumericDataset::new(s.dim, s.values)),
+            n_items,
+            k: init.k,
+            threads: init.threads.max(1),
+            gamma: init.gamma,
         })
     }
 
     /// Local item count.
     pub fn n_items(&self) -> usize {
-        self.state.assignments.len()
+        self.n_items
     }
 
     /// Serves one request. Errors come back as [`ShardReply::Error`] so the
-    /// protocol stays uniform across transports.
-    pub fn handle(&mut self, request: ShardRequest) -> ShardReply {
+    /// protocol stays uniform across transports; a failed request leaves
+    /// the worker as it was.
+    pub fn handle(&self, request: ShardRequest) -> ShardReply {
         let result = match request {
             ShardRequest::Init(_) => Err(ShardError("worker already initialised".into())),
-            ShardRequest::AssignFull { centroids } => self.round(centroids, None),
+            ShardRequest::AssignFull { centroids } => self.score(centroids, None),
             ShardRequest::Pass {
                 centroids,
-                digests,
-                active,
-            } => self.round(centroids, Some((&digests, &active))),
+                items,
+                ends,
+                candidates,
+            } => self
+                .check_lists(&items, &ends, &candidates)
+                .and_then(|()| self.score(centroids, Some((&items, &ends, &candidates)))),
             ShardRequest::Shutdown => return ShardReply::Done,
         };
         match result {
-            Ok(update) => ShardReply::Update(update),
+            Ok(assignments) => ShardReply::Update { assignments },
             Err(e) => ShardReply::Error { message: e.0 },
         }
     }
 
-    fn round(
-        &mut self,
+    /// Validates a `Pass`'s lists: local items, one non-empty list each,
+    /// clusters below `k`.
+    fn check_lists(
+        &self,
+        items: &[u32],
+        ends: &[usize],
+        candidates: &[ClusterId],
+    ) -> Result<(), ShardError> {
+        let n = self.n_items();
+        if let Some(item) = items.iter().find(|&&item| item as usize >= n) {
+            return Err(ShardError(format!(
+                "item {item} is out of range for {n} local items"
+            )));
+        }
+        if ends.len() != items.len() {
+            return Err(ShardError(format!(
+                "{} list ends for {} items",
+                ends.len(),
+                items.len()
+            )));
+        }
+        let mut start = 0;
+        for (i, &end) in ends.iter().enumerate() {
+            if end <= start || end > candidates.len() {
+                return Err(ShardError(format!(
+                    "list {i} ends at {end} after starting at {start} in {} candidates",
+                    candidates.len()
+                )));
+            }
+            start = end;
+        }
+        if start != candidates.len() {
+            return Err(ShardError(format!(
+                "lists end at {start} of {} candidates",
+                candidates.len()
+            )));
+        }
+        if let Some(c) = candidates.iter().find(|c| c.idx() >= self.k) {
+            return Err(ShardError(format!(
+                "cluster {} is out of range for k = {}",
+                c.0, self.k
+            )));
+        }
+        Ok(())
+    }
+
+    fn score(
+        &self,
         centroids: CentroidSet,
-        pass: Option<(&[KeyDigest], &[u32])>,
-    ) -> Result<ShardUpdate, ShardError> {
-        let state = &mut self.state;
+        lists: Option<(&[u32], &[usize], &[ClusterId])>,
+    ) -> Result<Vec<ClusterId>, ShardError> {
         match (&self.categorical, &self.numeric) {
-            (Some(cat), None) => state.round(cat, centroids, pass),
-            (None, Some(num)) => state.round(num, centroids, pass),
-            (Some(cat), Some(num)) => state.round(&MixedDataset::new(cat, num), centroids, pass),
+            (Some(cat), None) => self.score_on(cat, centroids, lists),
+            (None, Some(num)) => self.score_on(num, centroids, lists),
+            (Some(cat), Some(num)) => self.score_on(&MixedDataset::new(cat, num), centroids, lists),
             (None, None) => unreachable!("a worker holds at least one modality"),
         }
     }
-}
 
-impl ShardState {
-    /// One assignment round over this shard's items: a full assignment
-    /// against the broadcast centroids that then fills the local indexes
-    /// (`pass` is `None`), or one shortlisted Jacobi pass against the
-    /// merged digests and the global active clusters.
-    fn round<D: Modality>(
-        &mut self,
+    /// The best cluster of every local item over all `k` centroids, or, with
+    /// `lists`, of each listed item among its candidates (lists validated).
+    fn score_on<D: Modality>(
+        &self,
         data: &D,
         centroids: CentroidSet,
-        pass: Option<(&[KeyDigest], &[u32])>,
-    ) -> Result<ShardUpdate, ShardError> {
+        lists: Option<(&[u32], &[usize], &[ClusterId])>,
+    ) -> Result<Vec<ClusterId>, ShardError> {
         let model = data.model(data.receive(centroids, self.k)?, self.gamma);
-        let (moves, shortlist_total, skipped) = match pass {
-            None => {
-                parallel::assign_full_parallel(&model, &mut self.assignments, self.threads);
-                for side in &mut self.indexes {
-                    side.index = Some(
-                        side.builder
-                            .build_from_band_keys(side.band_keys.clone(), &self.assignments),
-                    );
-                }
-                // The indexes the cached shortlists were read from no
-                // longer exist.
-                self.cache.invalidate_all();
-                (0, 0, 0)
-            }
-            Some((digests, active)) => {
-                if digests.len() != self.indexes.len() {
-                    return Err(ShardError(format!(
-                        "pass expects {} digests, got {}",
-                        self.indexes.len(),
-                        digests.len()
-                    )));
-                }
-                if self.indexes.iter().any(|side| side.index.is_none()) {
-                    return Err(ShardError("pass before assign_full".into()));
-                }
-                let provider = DigestShortlistProvider::new(
-                    digests
-                        .iter()
-                        .zip(&self.indexes)
-                        .map(|(digest, side)| (digest, side.n_bands(), &side.band_keys[..])),
-                );
-                // With closures on, items whose cached shortlist avoids
-                // every broadcast-active cluster keep their assignment
-                // without a digest query — the same skip rule, against the
-                // same global activity, as the unsharded engine, so the
-                // pass stays byte-identical. The cache lives next to the
-                // per-shard indexes: shard-local items, global cluster ids.
-                let (new_assignments, shortlist_total, skipped) = if self.closures {
-                    parallel::jacobi_assign_closures(
-                        &model,
-                        &provider,
-                        &self.assignments,
-                        &ActivitySet::from_clusters(self.k, active),
-                        &mut self.cache,
-                        self.threads,
-                        true,
-                    )
-                } else {
-                    let (a, total) = parallel::jacobi_assign_interleaved(
-                        &model,
-                        &provider,
-                        &self.assignments,
-                        self.threads,
-                    );
-                    (a, total, 0)
-                };
-                let moves = self
-                    .assignments
-                    .iter()
-                    .zip(&new_assignments)
-                    .filter(|(old, new)| old != new)
-                    .count();
-                self.assignments = new_assignments;
-                for side in &mut self.indexes {
-                    side.index
-                        .as_mut()
-                        .expect("checked above")
-                        .set_all_clusters(&self.assignments);
-                }
-                (moves, shortlist_total, skipped)
-            }
+        let Some((items, ends, candidates)) = lists else {
+            let mut assignments = vec![ClusterId(0); data.n_items()];
+            parallel::assign_full_parallel(&model, &mut assignments, self.threads);
+            return Ok(assignments);
         };
-        Ok(ShardUpdate {
-            assignments: self.assignments.clone(),
-            moves: moves as u64,
-            shortlist_total: shortlist_total as u64,
-            skipped: skipped as u64,
-            digests: self.indexes.iter().map(ShardIndex::digest).collect(),
-            sketch: data
-                .categorical()
-                .map(|dataset| ModeSketch::from_assignments(dataset, &self.assignments, self.k)),
-        })
+        let best = parallel::chunked_map(
+            items.len(),
+            self.threads,
+            || (),
+            |i, _| {
+                let i = i as usize;
+                let start = if i == 0 { 0 } else { ends[i - 1] };
+                let list = &candidates[start..ends[i]];
+                let (best, _) = model
+                    .best_among(items[i], list)
+                    .expect("lists are non-empty");
+                best.0
+            },
+        );
+        Ok(best.into_iter().map(ClusterId).collect())
     }
 }
 
@@ -1153,14 +645,8 @@ impl ShardTransport for InProcessTransport {
 }
 
 // ---------------------------------------------------------------------------
-// Coordinators
+// Coordinator
 // ---------------------------------------------------------------------------
-
-struct DriveState {
-    digests: Vec<KeyDigest>,
-    sketch: Option<ModeSketch>,
-    error: Option<ShardError>,
-}
 
 fn expect_ready(replies: Vec<ShardReply>) -> Result<(), ShardError> {
     for (shard, reply) in replies.into_iter().enumerate() {
@@ -1179,107 +665,95 @@ fn expect_ready(replies: Vec<ShardReply>) -> Result<(), ShardError> {
     Ok(())
 }
 
-fn expect_updates(
-    replies: Vec<ShardReply>,
-    n_digests: usize,
-) -> Result<Vec<ShardUpdate>, ShardError> {
-    replies
-        .into_iter()
-        .enumerate()
-        .map(|(shard, reply)| match reply {
-            ShardReply::Update(u) if u.digests.len() == n_digests => Ok(u),
-            ShardReply::Update(u) => Err(ShardError(format!(
-                "shard {shard} returned {} digests, expected {n_digests}",
-                u.digests.len()
-            ))),
-            ShardReply::Error { message } => {
-                Err(ShardError(format!("shard {shard} failed: {message}")))
-            }
-            other => Err(ShardError(format!(
-                "shard {shard} replied {other:?} to an assignment round"
-            ))),
-        })
-        .collect()
-}
-
-fn splice_updates(
-    plan: &ShardPlan,
-    updates: &[ShardUpdate],
-    assignments: &mut [ClusterId],
-) -> Result<AssignOutcome, ShardError> {
-    let mut moves = 0usize;
-    let mut shortlist_total = 0usize;
-    let mut skipped = 0usize;
-    for (shard, u) in updates.iter().enumerate() {
-        let range = plan.range(shard);
-        if u.assignments.len() != range.len() {
-            return Err(ShardError(format!(
-                "shard {shard} returned {} assignments for {} items",
-                u.assignments.len(),
-                range.len()
-            )));
+/// A scoring reply's clusters, checked against the `want` items scored and
+/// against `k`.
+fn expect_update(
+    shard: usize,
+    reply: ShardReply,
+    want: usize,
+    k: usize,
+) -> Result<Vec<ClusterId>, ShardError> {
+    match reply {
+        ShardReply::Update { assignments } if assignments.len() != want => {
+            Err(ShardError(format!(
+                "shard {shard} returned {} assignments for {want} items",
+                assignments.len()
+            )))
         }
-        assignments[range].copy_from_slice(&u.assignments);
-        moves += u.moves as usize;
-        shortlist_total += u.shortlist_total as usize;
-        skipped += u.skipped as usize;
+        ShardReply::Update { assignments } => match assignments.iter().find(|c| c.idx() >= k) {
+            Some(c) => Err(ShardError(format!(
+                "shard {shard} returned cluster {} for k = {k}",
+                c.0
+            ))),
+            None => Ok(assignments),
+        },
+        ShardReply::Error { message } => {
+            Err(ShardError(format!("shard {shard} failed: {message}")))
+        }
+        other => Err(ShardError(format!(
+            "shard {shard} replied {other:?} to a scoring round"
+        ))),
     }
-    Ok(AssignOutcome {
-        moves,
-        shortlist_total,
-        skipped,
-    })
 }
 
-fn merged_digests(updates: &[ShardUpdate], n_digests: usize) -> Vec<KeyDigest> {
-    (0..n_digests)
-        .map(|slot| KeyDigest::merged(updates.iter().map(|u| u.digests[slot].clone())))
-        .collect()
-}
-
-fn merged_sketch(updates: &[ShardUpdate]) -> Result<ModeSketch, ShardError> {
-    let mut iter = updates.iter();
-    let mut acc = iter
-        .next()
-        .and_then(|u| u.sketch.clone())
-        .ok_or_else(|| ShardError("categorical update carries no sketch".into()))?;
-    for u in iter {
-        let sketch = u
-            .sketch
-            .as_ref()
-            .ok_or_else(|| ShardError("categorical update carries no sketch".into()))?;
-        acc.merge(sketch)?;
-    }
-    Ok(acc)
-}
-
-fn broadcast(n: usize, make: impl Fn() -> ShardRequest) -> Vec<ShardRequest> {
-    (0..n).map(|_| make()).collect()
-}
-
-/// One assignment round through the transport: broadcast, validate, splice,
-/// and merge — shared by the setup round and every drive pass.
-fn exchange(
+/// Sends each shard its listed items — the `items` re-evaluated this pass
+/// whose cached shortlist is not empty — with their shortlists, and writes
+/// each listed item's best candidate into `assignments`. Sends nothing when
+/// no item is listed.
+fn score_on_shards(
     transport: &mut dyn ShardTransport,
     plan: &ShardPlan,
-    requests: Vec<ShardRequest>,
-    n_digests: usize,
-    want_sketch: bool,
+    centroids: impl FnOnce() -> CentroidSet,
+    cache: &ShortlistCache,
+    items: &[u32],
+    k: usize,
     assignments: &mut [ClusterId],
-) -> Result<(AssignOutcome, Vec<KeyDigest>, Option<ModeSketch>), ShardError> {
-    let updates = expect_updates(transport.roundtrip(requests)?, n_digests)?;
-    let outcome = splice_updates(plan, &updates, assignments)?;
-    let digests = merged_digests(&updates, n_digests);
-    let sketch = want_sketch.then(|| merged_sketch(&updates)).transpose()?;
-    Ok((outcome, digests, sketch))
+) -> Result<(), ShardError> {
+    let mut listed: Vec<Vec<u32>> = vec![Vec::new(); plan.n_shards()];
+    for &item in items {
+        if !cache.list(item).is_empty() {
+            listed[plan.shard_of(item as usize)].push(item);
+        }
+    }
+    if listed.iter().all(Vec::is_empty) {
+        return Ok(());
+    }
+    let centroids = centroids();
+    let requests = listed
+        .iter()
+        .enumerate()
+        .map(|(shard, items)| {
+            let first = plan.range(shard).start as u32;
+            let mut ends = Vec::with_capacity(items.len());
+            let mut candidates = Vec::new();
+            for &item in items {
+                candidates.extend_from_slice(cache.list(item));
+                ends.push(candidates.len());
+            }
+            ShardRequest::Pass {
+                centroids: centroids.clone(),
+                items: items.iter().map(|&item| item - first).collect(),
+                ends,
+                candidates,
+            }
+        })
+        .collect();
+    let replies = transport.roundtrip(requests)?;
+    for (shard, (reply, items)) in replies.into_iter().zip(&listed).enumerate() {
+        let best = expect_update(shard, reply, items.len(), k)?;
+        for (&item, c) in items.iter().zip(best) {
+            assignments[item as usize] = c;
+        }
+    }
+    Ok(())
 }
 
 /// The sharded accelerated full fit, written once for every modality:
-/// byte-identical to [`crate::modality::fit_full`] at `threads > 1` with the same config and
-/// centroids, for any shard count. The digest-based shortlist always
-/// includes an item's own bucket, so `cfg.include_self` is not read.
-/// `index_stats` is reconstructed from the merged initial digests and
-/// equals the unsharded item index's.
+/// [`crate::modality::fit_full`] at `threads > 1`, with its full pass and
+/// every `best_among` search run on the shards (see the
+/// [module docs](self)). Byte-identical to that fit with the same config
+/// and centroids, for any shard count; `index_stats` are the coordinator's
+/// item index's.
 pub fn shard_fit<D: Modality>(
     data: &D,
     cfg: &FitParams,
@@ -1289,11 +763,6 @@ pub fn shard_fit<D: Modality>(
 ) -> Result<FitResult<D::Centroids>, ShardError> {
     let n = data.n_items();
     let plan = ShardPlan::new(n, transport.n_shards());
-    let keys = ItemKeys::hash(data, cfg);
-    let family_bands: Vec<u32> = keys
-        .families()
-        .map(|family| family.builder.params().banding.bands())
-        .collect();
     let inits = (0..plan.n_shards())
         .map(|shard| {
             let range = plan.range(shard);
@@ -1301,120 +770,99 @@ pub fn shard_fit<D: Modality>(
                 k: cfg.k,
                 threads: cfg.threads,
                 gamma: cfg.gamma,
-                closures: cfg.closures,
-                categorical: data.categorical().zip(keys.minhash.as_ref()).map(
-                    |(dataset, family)| CatShardInit {
-                        n_attrs: dataset.n_attrs(),
-                        values: flatten_cat_rows(dataset, range.clone()),
-                        params: family.builder.params(),
-                        band_keys: family.items(range.clone()).to_vec(),
-                    },
-                ),
-                numeric: data.numeric().zip(keys.simhash.as_ref()).map(
-                    |(points, (family, mean))| {
-                        let params = family.builder.params();
-                        NumShardInit {
-                            dim: points.dim(),
-                            values: flatten_num_rows(points, range.clone()),
-                            bands: params.banding.bands(),
-                            rows: params.banding.rows(),
-                            seed: params.seed,
-                            mean: mean.clone(),
-                            band_keys: family.items(range.clone()).to_vec(),
-                        }
-                    },
-                ),
+                categorical: data.categorical().map(|rows| CatShardInit {
+                    n_attrs: rows.n_attrs(),
+                    values: flatten_cat_rows(rows, range.clone()),
+                }),
+                numeric: data.numeric().map(|points| NumShardInit {
+                    dim: points.dim(),
+                    values: flatten_num_rows(points, range.clone()),
+                }),
             })
         })
         .collect();
-    drop(keys);
     expect_ready(transport.roundtrip(inits)?)?;
 
-    let n_digests = family_bands.len();
-    let want_sketch = data.categorical().is_some();
     let mut model = data.model(centroids, cfg.gamma);
     assert_eq!(
         model.k(),
         cfg.k,
         "initial centroids disagree with configured k"
     );
-    let mut assignments = vec![ClusterId(0); n];
-    // Setup: distributed full assignment against the initial centroids,
-    // local index builds, then the coordinator-side refresh — mirroring the
-    // unsharded fit's setup phase step for step.
-    let requests = broadcast(plan.n_shards(), || ShardRequest::AssignFull {
-        centroids: data.broadcast(model.snapshot_centroids()),
-    });
-    let (_, digests, sketch) = exchange(
-        transport,
-        &plan,
-        requests,
-        n_digests,
-        want_sketch,
-        &mut assignments,
+    // Set-up: the full pass on the shards, then `fit_full`'s refresh and
+    // item index.
+    let full = data.broadcast(model.snapshot_centroids());
+    let replies = transport.roundtrip(
+        (0..plan.n_shards())
+            .map(|_| ShardRequest::AssignFull {
+                centroids: full.clone(),
+            })
+            .collect(),
     )?;
-    D::merged_update(&mut model, sketch.as_ref(), &assignments, cfg.threads);
-    let index_stats = combined_stats(
-        digests
-            .iter()
-            .zip(&family_bands)
-            .map(|(digest, &bands)| digest.stats(n, bands)),
-    );
+    let mut assignments = Vec::with_capacity(n);
+    for (shard, reply) in replies.into_iter().enumerate() {
+        assignments.extend(expect_update(shard, reply, plan.range(shard).len(), cfg.k)?);
+    }
+    let threads = cfg.threads.max(1);
+    model.update_centroids_parallel(&assignments, threads);
+    let (mut provider, index_stats) = item_index(data, cfg, &assignments);
     let setup = setup_start.elapsed();
 
-    let state = RefCell::new(DriveState {
-        digests,
-        sketch: None,
-        error: None,
-    });
-    let state = &state;
-    let threads = cfg.threads;
+    // The Jacobi pass of `parallel::parallel_fit`, with its scoring sent to
+    // the shards.
+    let mut cache = ShortlistCache::new(n);
+    let mut failure = None;
     let run = framework::drive(
         &mut model,
         assignments,
         setup,
         &cfg.stop,
         |model, assignments, activity| {
-            let mut st = state.borrow_mut();
-            if st.error.is_some() {
+            if failure.is_some() {
                 return AssignOutcome::default();
             }
-            let requests = broadcast(plan.n_shards(), || ShardRequest::Pass {
-                centroids: data.broadcast(model.snapshot_centroids()),
-                digests: st.digests.clone(),
-                active: activity.to_clusters(),
-            });
-            match exchange(
+            let Refresh {
+                items,
+                entries,
+                mut shortlist_total,
+                skipped,
+            } = cache.refresh(cfg.closures.then_some(activity));
+            parallel::map_refreshed(
+                &items,
+                entries,
+                threads,
+                cfg.interleaved,
+                || provider.make_scratch(),
+                |item, out, scratch| provider.shortlist_into(item, scratch, out),
+            );
+            shortlist_total += items
+                .iter()
+                .map(|&item| cache.list(item).len())
+                .sum::<usize>();
+            let mut new_assignments = assignments.clone();
+            match score_on_shards(
                 transport,
                 &plan,
-                requests,
-                n_digests,
-                want_sketch,
-                assignments,
+                || data.broadcast(model.snapshot_centroids()),
+                &cache,
+                &items,
+                cfg.k,
+                &mut new_assignments,
             ) {
-                Ok((outcome, digests, sketch)) => {
-                    st.digests = digests;
-                    st.sketch = sketch;
-                    outcome
-                }
+                Ok(()) => AssignOutcome {
+                    moves: parallel::apply_moves(&mut provider, assignments, new_assignments),
+                    shortlist_total,
+                    skipped,
+                },
                 Err(e) => {
-                    st.error = Some(e);
+                    failure = Some(e);
                     AssignOutcome::default()
                 }
             }
         },
-        |model, assignments| {
-            // The merged statistics replay the exact update the unsharded
-            // fit computes, so the activity matches its update's too.
-            let mut st = state.borrow_mut();
-            if st.error.is_some() {
-                return ActivitySet::none(model.k());
-            }
-            let sketch = st.sketch.take();
-            D::merged_update(model, sketch.as_ref(), assignments, threads)
-        },
+        |model, assignments| model.update_centroids_parallel(assignments, threads),
     );
-    if let Some(e) = state.borrow_mut().error.take() {
+    if let Some(e) = failure {
         return Err(e);
     }
     Ok(FitResult {
@@ -1458,10 +906,17 @@ fn flatten_num_rows(data: &NumericDataset, range: Range<usize>) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mhkmodes::{KModesModel, MhKModes, MinHashProvider};
+    use crate::centroid_index::IndexScheme;
+    use crate::framework::StopPolicy;
+    use crate::mhkmodes::MhKModes;
+    use crate::modality::fit_full;
     use lshclust_categorical::DatasetBuilder;
     use lshclust_kmodes::init::{initial_modes, InitMethod};
+    use lshclust_kmodes::kmeans::{kmeans_initial_centroids, KMeansInit};
     use lshclust_minhash::Banding;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+    use std::collections::BTreeMap;
 
     fn blob_dataset(groups: usize, per_group: usize, n_attrs: usize) -> Dataset {
         let mut b = DatasetBuilder::anonymous(n_attrs);
@@ -1504,82 +959,13 @@ mod tests {
             let plan = ShardPlan::new(n, s);
             let mut seen = Vec::new();
             for shard in 0..plan.n_shards() {
-                seen.extend(plan.range(shard));
+                for item in plan.range(shard) {
+                    assert_eq!(plan.shard_of(item), shard, "n={n} s={s}");
+                    seen.push(item);
+                }
             }
             assert_eq!(seen, (0..n).collect::<Vec<_>>(), "n={n} s={s}");
         }
-    }
-
-    #[test]
-    fn merged_shard_digests_match_the_unsharded_index() {
-        let dataset = blob_dataset(3, 7, 4);
-        let n = dataset.n_items();
-        let builder = LshIndexBuilder::new(Banding::new(8, 2)).seed(17);
-        let keys = parallel::hash_band_keys_parallel(&builder, &dataset, 1);
-        let assignments: Vec<ClusterId> = (0..n).map(|i| ClusterId((i % 3) as u32)).collect();
-        let global = builder.build_from_band_keys(keys.clone(), &assignments);
-
-        let plan = ShardPlan::new(n, 3);
-        let n_bands = 8usize;
-        let shard_digests: Vec<KeyDigest> = (0..plan.n_shards())
-            .map(|shard| {
-                let r = plan.range(shard);
-                let local = builder.build_from_band_keys(
-                    keys[r.start * n_bands..r.end * n_bands].to_vec(),
-                    &assignments[r],
-                );
-                KeyDigest::of_lsh(&local)
-            })
-            .collect();
-        let merged = KeyDigest::merged(shard_digests);
-        assert_eq!(merged, KeyDigest::of_lsh(&global));
-        assert_eq!(merged.stats(n, 8), global.stats());
-
-        // The digest provider's candidate set equals the index shortlist's.
-        let provider = DigestShortlistProvider::new([(&merged, n_bands, &keys[..])]);
-        let mut index_provider = MinHashProvider::new(global, 3, true);
-        let mut scratch = provider.make_scratch();
-        let (mut got, mut want) = (Vec::new(), Vec::new());
-        for item in 0..n as u32 {
-            provider.shortlist_into(item, &mut scratch, &mut got);
-            index_provider.shortlist(item, &mut want);
-            got.sort_unstable();
-            want.sort_unstable();
-            want.dedup();
-            assert_eq!(got, want, "item {item}");
-        }
-    }
-
-    #[test]
-    fn merged_sketch_reproduces_the_serial_mode_update() {
-        let dataset = blob_dataset(4, 6, 3);
-        let n = dataset.n_items();
-        let k = 4;
-        let assignments: Vec<ClusterId> = (0..n).map(|i| ClusterId(((i * 7) % k) as u32)).collect();
-
-        let plan = ShardPlan::new(n, 3);
-        let mut merged: Option<ModeSketch> = None;
-        for shard in 0..plan.n_shards() {
-            let r = plan.range(shard);
-            let local = Dataset::from_parts(
-                Schema::anonymous(dataset.n_attrs()),
-                flatten_cat_rows(&dataset, r.clone()),
-                None,
-            );
-            let sketch = ModeSketch::from_assignments(&local, &assignments[r], k);
-            match &mut merged {
-                Some(acc) => acc.merge(&sketch).unwrap(),
-                None => merged = Some(sketch),
-            }
-        }
-        let merged = merged.unwrap();
-
-        let initial = initial_modes(&dataset, k, InitMethod::RandomItems, 5);
-        let mut from_sketch = initial.clone();
-        merged.apply(&mut from_sketch);
-        let mut model = KModesModel::new(&dataset, initial);
-        model.update_centroids(&assignments);
-        assert_eq!(from_sketch.values(), model.modes().values());
     }
 
     #[test]
@@ -1626,15 +1012,13 @@ mod tests {
             {
                 assert_eq!((a.moves, a.cost), (b.moves, b.cost));
                 assert_eq!(a.avg_candidates, b.avg_candidates);
+                assert_eq!(a.skipped_items, b.skipped_items);
             }
         }
     }
 
     #[test]
     fn in_process_sharded_kmeans_is_byte_identical() {
-        use crate::centroid_index::IndexScheme;
-        use crate::modality::fit_full;
-        use lshclust_kmodes::kmeans::{kmeans_initial_centroids, KMeansInit};
         let data = blob_numeric(4, 8);
         let scheme = IndexScheme {
             minhash: None,
@@ -1665,41 +1049,38 @@ mod tests {
 
     #[test]
     fn protocol_types_round_trip_through_values() {
-        let update = ShardUpdate {
+        let reply = ShardReply::Update {
             assignments: vec![ClusterId(0), ClusterId(2)],
-            moves: 1,
-            shortlist_total: 9,
-            skipped: 4,
-            digests: vec![KeyDigest {
-                entries: vec![DigestEntry {
-                    band: 3,
-                    key: u64::MAX - 5,
-                    items: 2,
-                    clusters: vec![ClusterId(0), ClusterId(2)],
-                }],
-            }],
-            sketch: Some(ModeSketch {
-                k: 1,
-                n_attrs: 1,
-                members: vec![2],
-                counts: vec![vec![ValueCount { value: 7, count: 2 }]],
-            }),
         };
-        let reply = ShardReply::Update(update.clone());
-        let back = ShardReply::from_value(&reply.to_value()).unwrap();
-        assert_eq!(back, reply);
-
+        assert_eq!(ShardReply::from_value(&reply.to_value()).unwrap(), reply);
         let request = ShardRequest::Pass {
             centroids: CentroidSet::Means {
                 k: 1,
                 dim: 2,
                 values: vec![0.1 + 0.2, -7.5],
             },
-            digests: update.digests.clone(),
-            active: vec![0],
+            items: vec![0, 3],
+            ends: vec![1, 3],
+            candidates: vec![ClusterId(0), ClusterId(0), ClusterId(2)],
         };
-        let back = ShardRequest::from_value(&request.to_value()).unwrap();
-        assert_eq!(back, request);
+        assert_eq!(
+            ShardRequest::from_value(&request.to_value()).unwrap(),
+            request
+        );
+        let init = ShardRequest::Init(ShardInit {
+            k: 2,
+            threads: 1,
+            gamma: 0.5,
+            categorical: Some(CatShardInit {
+                n_attrs: 1,
+                values: vec![ValueId(4), ValueId(u32::MAX)],
+            }),
+            numeric: Some(NumShardInit {
+                dim: 1,
+                values: vec![1.5, -0.25],
+            }),
+        });
+        assert_eq!(ShardRequest::from_value(&init.to_value()).unwrap(), init);
         assert_eq!(
             ShardRequest::from_value(&ShardRequest::Shutdown.to_value()).unwrap(),
             ShardRequest::Shutdown
@@ -1716,17 +1097,300 @@ mod tests {
         // Wrong request count.
         assert!(transport.roundtrip(vec![ShardRequest::Shutdown]).is_err());
         // Request before init.
-        let replies = transport
-            .roundtrip(broadcast(2, || ShardRequest::Pass {
-                centroids: CentroidSet::Means {
-                    k: 1,
-                    dim: 1,
-                    values: vec![0.0],
-                },
-                digests: vec![KeyDigest::default()],
-                active: vec![0],
-            }))
-            .unwrap();
+        let pass = || ShardRequest::Pass {
+            centroids: CentroidSet::Means {
+                k: 1,
+                dim: 1,
+                values: vec![0.0],
+            },
+            items: vec![0],
+            ends: vec![1],
+            candidates: vec![ClusterId(0)],
+        };
+        let replies = transport.roundtrip(vec![pass(), pass()]).unwrap();
         assert!(matches!(&replies[0], ShardReply::Error { .. }));
+    }
+
+    /// One `Pass` round as the shards saw it: each listed item, by its
+    /// global id, with its candidate list.
+    type Round = BTreeMap<u32, Vec<ClusterId>>;
+
+    /// In-process shards that record what the coordinator sends them.
+    struct Recorder {
+        inner: InProcessTransport,
+        plan: ShardPlan,
+        inits: Vec<ShardInit>,
+        passes: Vec<Round>,
+    }
+
+    impl Recorder {
+        fn new(n_items: usize, n_shards: usize) -> Self {
+            Self {
+                inner: InProcessTransport::new(n_shards),
+                plan: ShardPlan::new(n_items, n_shards),
+                inits: Vec::new(),
+                passes: Vec::new(),
+            }
+        }
+    }
+
+    impl ShardTransport for Recorder {
+        fn n_shards(&self) -> usize {
+            self.inner.n_shards()
+        }
+
+        fn roundtrip(
+            &mut self,
+            requests: Vec<ShardRequest>,
+        ) -> Result<Vec<ShardReply>, ShardError> {
+            let mut round = Round::new();
+            for (shard, request) in requests.iter().enumerate() {
+                match request {
+                    ShardRequest::Init(init) => self.inits.push(init.clone()),
+                    ShardRequest::Pass {
+                        items,
+                        ends,
+                        candidates,
+                        ..
+                    } => {
+                        let first = self.plan.range(shard).start as u32;
+                        let mut start = 0;
+                        for (&item, &end) in items.iter().zip(ends) {
+                            round.insert(first + item, candidates[start..end].to_vec());
+                            start = end;
+                        }
+                        assert_eq!(start, candidates.len(), "no candidate outside a list");
+                    }
+                    _ => {}
+                }
+            }
+            if matches!(requests[0], ShardRequest::Pass { .. }) {
+                self.passes.push(round);
+            }
+            self.inner.roundtrip(requests)
+        }
+    }
+
+    /// Fits `data` over `shards` with closures on and off, and checks what
+    /// went over the wire: rows only at `Init`; a `Pass` round per
+    /// iteration that re-evaluated an item and none for the others; each
+    /// round listing exactly the re-evaluated items, with the candidate
+    /// lists of the closure-free run, whose lists add up to its shortlist
+    /// total.
+    fn check_traffic<D: Modality>(data: &D, cfg: FitParams, centroids: D::Centroids, shards: usize)
+    where
+        D::Centroids: PartialEq + fmt::Debug,
+    {
+        let n = data.n_items();
+        let mut runs = Vec::new();
+        for closures in [false, true] {
+            let cfg = FitParams {
+                closures,
+                ..cfg.clone()
+            };
+            let mut recorder = Recorder::new(n, shards);
+            let fit =
+                shard_fit(data, &cfg, centroids.clone(), Instant::now(), &mut recorder).unwrap();
+            let unsharded = fit_full(data, &cfg, centroids.clone(), Instant::now());
+            assert_eq!(fit.assignments, unsharded.assignments);
+            assert_eq!(fit.centroids, unsharded.centroids);
+
+            // Init carries the rows of each range and nothing else.
+            assert_eq!(recorder.inits.len(), shards);
+            for (shard, init) in recorder.inits.iter().enumerate() {
+                let range = recorder.plan.range(shard);
+                let Value::Object(fields) = init.to_value() else {
+                    panic!("Init is an object");
+                };
+                let keys: Vec<&str> = fields.iter().map(|(key, _)| key.as_str()).collect();
+                assert_eq!(keys, ["k", "threads", "gamma", "categorical", "numeric"]);
+                if let Some(rows) = data.categorical() {
+                    let side = init.categorical.as_ref().expect("categorical rows");
+                    assert_eq!(side.values, flatten_cat_rows(rows, range.clone()));
+                }
+                if let Some(points) = data.numeric() {
+                    let side = init.numeric.as_ref().expect("numeric rows");
+                    assert_eq!(side.values, flatten_num_rows(points, range.clone()));
+                }
+            }
+
+            // One round per iteration with an item to re-evaluate, listing
+            // exactly those items.
+            let iterations = &fit.summary.iterations;
+            let busy: Vec<_> = iterations.iter().filter(|s| s.skipped_items < n).collect();
+            assert_eq!(recorder.passes.len(), busy.len(), "closures {closures}");
+            for (round, stats) in recorder.passes.iter().zip(&busy) {
+                assert_eq!(round.len(), n - stats.skipped_items, "closures {closures}");
+                assert!(round.values().all(|list| !list.is_empty()));
+            }
+            if !closures {
+                assert!(iterations.iter().all(|s| s.skipped_items == 0));
+                for (round, stats) in recorder.passes.iter().zip(iterations) {
+                    let total: usize = round.values().map(Vec::len).sum();
+                    assert_eq!(total as f64 / n as f64, stats.avg_candidates);
+                }
+            } else {
+                assert!(
+                    busy.len() < iterations.len(),
+                    "an idle iteration sends no round"
+                );
+                assert!(busy.iter().any(|s| s.skipped_items > 0));
+            }
+            runs.push((iterations.clone(), recorder.passes));
+        }
+        // The closure run's rounds list the closure-free run's candidate
+        // lists, pass for pass.
+        let [(off_stats, off_rounds), (on_stats, on_rounds)] = <[_; 2]>::try_from(runs).unwrap();
+        assert_eq!(off_stats.len(), on_stats.len());
+        let mut on_rounds = on_rounds.into_iter();
+        for (stats, off_round) in on_stats.iter().zip(off_rounds) {
+            if stats.skipped_items == n {
+                continue;
+            }
+            let on_round = on_rounds.next().expect("a round per busy iteration");
+            for (item, list) in &on_round {
+                assert_eq!(Some(list), off_round.get(item), "item {item}");
+            }
+        }
+    }
+
+    /// Runs to the cap without stopping, so that late iterations skip every
+    /// item.
+    fn no_stop(k: usize, scheme: IndexScheme, seed: u64) -> FitParams {
+        FitParams {
+            threads: 2,
+            stop: StopPolicy {
+                max_iterations: 8,
+                stop_on_no_moves: false,
+                stop_on_cost_increase: false,
+            },
+            ..FitParams::new(k, scheme, seed)
+        }
+    }
+
+    /// `groups × per_group` rows whose cells keep their group's value with
+    /// probability 0.6 and draw one of five others otherwise, so that the
+    /// fit takes several passes and later passes touch few clusters.
+    fn noisy_groups(groups: usize, per_group: usize, seed: u64) -> (Dataset, NumericDataset) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut b = DatasetBuilder::anonymous(6);
+        let mut points = Vec::new();
+        for g in 0..groups {
+            for _ in 0..per_group {
+                let row: Vec<String> = (0..6)
+                    .map(|a| match rng.random_range(0..10) {
+                        0..6 => format!("g{g}a{a}"),
+                        other => format!("n{other}a{a}"),
+                    })
+                    .collect();
+                let refs: Vec<&str> = row.iter().map(String::as_str).collect();
+                b.push_str_row(&refs, None).unwrap();
+                points.extend([
+                    g as f64 + rng.random_range(-0.8..0.8),
+                    rng.random_range(-1.0..1.0),
+                ]);
+            }
+        }
+        (b.finish(), NumericDataset::new(2, points))
+    }
+
+    #[test]
+    fn categorical_passes_send_only_what_the_closures_leave() {
+        let (data, _) = noisy_groups(6, 12, 3);
+        let scheme = IndexScheme {
+            minhash: Some(Banding::new(8, 2)),
+            simhash: None,
+        };
+        let modes = initial_modes(&data, 6, InitMethod::RandomItems, 5);
+        check_traffic(&data, no_stop(6, scheme, 5), modes, 3);
+    }
+
+    #[test]
+    fn mixed_passes_send_only_what_the_closures_leave() {
+        let (cat, num) = noisy_groups(6, 12, 4);
+        let data = MixedDataset::new(&cat, &num);
+        let scheme = IndexScheme {
+            minhash: Some(Banding::new(8, 2)),
+            simhash: Some((6, 3)),
+        };
+        let prototypes = Prototypes::from_items(&data, &[0, 5, 10, 15, 20, 25]);
+        let cfg = FitParams {
+            gamma: 0.5,
+            ..no_stop(6, scheme, 7)
+        };
+        check_traffic(&data, cfg, prototypes, 2);
+    }
+
+    /// A corruption of a scoring reply.
+    type Rewrite = fn(&mut Vec<ClusterId>);
+
+    /// In-process shards whose `round`-th scoring reply is rewritten.
+    struct Tamper {
+        inner: InProcessTransport,
+        round: usize,
+        rounds: usize,
+        rewrite: Rewrite,
+    }
+
+    impl ShardTransport for Tamper {
+        fn n_shards(&self) -> usize {
+            self.inner.n_shards()
+        }
+
+        fn roundtrip(
+            &mut self,
+            requests: Vec<ShardRequest>,
+        ) -> Result<Vec<ShardReply>, ShardError> {
+            let scoring = !matches!(requests[0], ShardRequest::Init(_));
+            let mut replies = self.inner.roundtrip(requests)?;
+            if scoring {
+                if self.rounds == self.round {
+                    if let ShardReply::Update { assignments } = &mut replies[0] {
+                        (self.rewrite)(assignments);
+                    }
+                }
+                self.rounds += 1;
+            }
+            Ok(replies)
+        }
+    }
+
+    #[test]
+    fn bad_replies_are_typed_errors() {
+        let dataset = blob_dataset(3, 10, 4);
+        let cfg = MhKModesConfig::new(3, Banding::new(8, 2))
+            .seed(11)
+            .threads(2);
+        let modes = initial_modes(&dataset, cfg.k, cfg.init, cfg.seed);
+        let rewrites: [(Rewrite, &str); 3] = [
+            (
+                |a| {
+                    a.pop();
+                },
+                "assignments for",
+            ),
+            (|a| a.push(ClusterId(0)), "assignments for"),
+            (|a| a[0] = ClusterId(3), "cluster 3 for k = 3"),
+        ];
+        // Round 0 is the set-up pass, round 1 the first shortlisted one.
+        for round in [0, 1] {
+            for (rewrite, want) in rewrites {
+                let mut transport = Tamper {
+                    inner: InProcessTransport::new(2),
+                    round,
+                    rounds: 0,
+                    rewrite,
+                };
+                let err = shard_mh_kmodes_from(
+                    &dataset,
+                    &cfg,
+                    modes.clone(),
+                    Instant::now(),
+                    &mut transport,
+                )
+                .expect_err("a typed error");
+                assert!(err.0.contains(want), "round {round}: {err}");
+            }
+        }
     }
 }

@@ -117,8 +117,7 @@ impl Modes {
 }
 
 /// The value counts of one member group, attribute by attribute — the one
-/// counting kernel behind every mode update (serial, parallel, online and
-/// the shard workers' sketches).
+/// counting kernel behind every mode update (serial, parallel and online).
 ///
 /// Each attribute's member values are sorted, so a value's count is the
 /// length of its run and the runs come out ascending by [`ValueId`]. This

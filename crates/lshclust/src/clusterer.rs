@@ -74,8 +74,9 @@ impl Clusterer {
 
     /// Runs each shard of a `spec.shards > 1` fit in its own worker
     /// *process* spawned from `cmd` (whitespace-split; typically
-    /// `"cluster shard-worker"`), speaking the NDJSON partial-update
-    /// protocol of [`crate::shard`]. Without this, shards run in-process.
+    /// `"cluster shard-worker"`), speaking the NDJSON scoring protocol of
+    /// [`crate::shard`]. Each worker holds only its rows, which is where
+    /// sharding buys capacity; without this, shards run in-process.
     /// Ignored at `shards <= 1`.
     pub fn worker_cmd(mut self, cmd: impl Into<String>) -> Self {
         self.worker_cmd = Some(cmd.into());
@@ -287,9 +288,9 @@ fn check_shardable(spec: &ClusterSpec) -> Result<(), SpecError> {
             what: "the exact baselines (Lsh::None)",
         });
     }
-    // The digest-based shortlist always includes an item's own bucket (the
-    // paper's Algorithm 2 behaviour); the ablation has no sharded
-    // equivalent.
+    // A typed rejection, pinned by `tests/shard.rs`, although the sharded
+    // coordinator now shortlists with the unsharded provider and could
+    // serve the ablation.
     if !spec.include_self {
         return Err(SpecError::ShardsUnsupported {
             what: "the include_self = false ablation",

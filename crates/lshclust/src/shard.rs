@@ -1,5 +1,5 @@
 //! **Multi-process sharding** — the NDJSON transport over
-//! [`lshclust_core::shard`]'s partial-update protocol.
+//! [`lshclust_core::shard`]'s scoring protocol.
 //!
 //! The coordinator side ([`RemoteTransport`]) spawns one worker process per
 //! shard and speaks one JSON object per line over each worker's
@@ -19,18 +19,24 @@
 //! Requests (coordinator → worker), externally tagged:
 //!
 //! ```json
-//! {"Init": {"k": 3, "threads": 2, "gamma": 0.0, "categorical": {...}, "numeric": null}}
+//! {"Init": {"k": 3, "threads": 2, "gamma": 0.0,
+//!           "categorical": {"n_attrs": 4, "values": [...]}, "numeric": null}}
 //! {"AssignFull": {"centroids": {"Modes": {...}}}}
-//! {"Pass": {"centroids": {"Modes": {...}}, "digests": [{"entries": [...]}]}}
+//! {"Pass": {"centroids": {"Modes": {...}}, "items": [0, 5],
+//!           "ends": [2, 3], "candidates": [4, 1, 7]}}
 //! "Shutdown"
 //! ```
+//!
+//! `Init` carries the shard's rows and nothing else. `AssignFull` is
+//! answered with one cluster per local item, `Pass` with one per listed
+//! item: local item `items[i]` is scored among the candidates that end at
+//! `ends[i]` (here item 0 among clusters 4 and 1, item 5 among cluster 7).
 //!
 //! Replies (worker → coordinator):
 //!
 //! ```json
 //! "Ready"
-//! {"Update": {"assignments": [...], "moves": 4, "shortlist_total": 120,
-//!             "digests": [{"entries": [...]}], "sketch": {...}}}
+//! {"Update": {"assignments": [1, 7]}}
 //! "Done"
 //! {"Error": {"message": "..."}}
 //! ```
@@ -212,6 +218,58 @@ pub fn run_worker(reader: impl BufRead, mut writer: impl Write) -> std::io::Resu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lshclust_categorical::ClusterId;
+
+    const MODES: &str = r#"{"Modes":{"k":2,"n_attrs":2,"values":[0,1,1,1]}}"#;
+
+    fn pass(centroids: &str, items: &str, ends: &str, candidates: &str) -> String {
+        format!(
+            r#"{{"Pass":{{"centroids":{centroids},"items":{items},"ends":{ends},"candidates":{candidates}}}}}"#
+        )
+    }
+
+    #[test]
+    fn bad_passes_are_error_replies_and_the_worker_keeps_serving() {
+        let mut slot = None;
+        // Three local items over two attributes, two clusters.
+        let init = r#"{"Init":{"k":2,"threads":1,"gamma":0.0,"categorical":{"n_attrs":2,"values":[0,1,0,2,1,1]},"numeric":null}}"#;
+        assert_eq!(handle_line(&mut slot, init), "\"Ready\"");
+        let valid = pass(MODES, "[0,2]", "[2,3]", "[0,1,1]");
+        let want = ShardReply::Update {
+            assignments: vec![ClusterId(0), ClusterId(1)],
+        };
+        let reply = |slot: &mut Option<ShardWorker>, line: &str| -> ShardReply {
+            serde_json::from_str(&handle_line(slot, line)).expect("a reply line")
+        };
+        assert_eq!(reply(&mut slot, &valid), want);
+        let means = r#"{"Means":{"k":2,"dim":2,"values":[0.0,1.0,1.0,1.0]}}"#;
+        for (what, line) in [
+            (
+                "item out of range",
+                pass(MODES, "[0,3]", "[2,3]", "[0,1,1]"),
+            ),
+            ("cluster >= k", pass(MODES, "[0,2]", "[2,3]", "[0,1,2]")),
+            (
+                "ends out of order",
+                pass(MODES, "[0,2]", "[3,2]", "[0,1,1]"),
+            ),
+            ("one end short", pass(MODES, "[0,2]", "[2]", "[0,1,1]")),
+            (
+                "a candidate past the ends",
+                pass(MODES, "[0,2]", "[1,2]", "[0,1,1]"),
+            ),
+            (
+                "an end past the candidates",
+                pass(MODES, "[0,2]", "[2,4]", "[0,1,1]"),
+            ),
+            ("an empty list", pass(MODES, "[0,2]", "[0,3]", "[0,1,1]")),
+            ("wrong modality", pass(means, "[0,2]", "[2,3]", "[0,1,1]")),
+        ] {
+            let got = reply(&mut slot, &line);
+            assert!(matches!(got, ShardReply::Error { .. }), "{what}: {got:?}");
+            assert_eq!(reply(&mut slot, &valid), want, "after {what}");
+        }
+    }
 
     #[test]
     fn handle_line_enforces_init_first_and_survives_garbage() {

@@ -775,7 +775,7 @@ pub enum SpecError {
     },
     /// A sharded fit failed at runtime: a worker reported an error, a
     /// worker process could not be spawned, or a reply violated the
-    /// partial-update protocol.
+    /// scoring protocol.
     ShardFailure {
         /// The underlying shard/transport error.
         message: String,

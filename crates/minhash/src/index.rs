@@ -36,11 +36,9 @@ serde::impl_serde_unit_enum!(QueryMode {
     Precomputed
 });
 
-/// The serializable construction parameters of an [`LshIndex`]. Hashing is
-/// fully deterministic in these three fields, so an index rebuilt from equal
-/// parameters over equal rows answers every query identically — which is how
-/// saved models (`lshclust::FittedModel`) ship an index as a few bytes of
-/// JSON instead of a bucket dump.
+/// The construction parameters of an [`LshIndex`]. Hashing is fully
+/// deterministic in these three fields, so an index rebuilt from equal
+/// parameters over equal rows answers every query identically.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct IndexParams {
     /// Banding scheme (`b` bands × `r` rows).
@@ -50,12 +48,6 @@ pub struct IndexParams {
     /// Query mode.
     pub mode: QueryMode,
 }
-
-serde::impl_serde_struct!(IndexParams {
-    banding,
-    seed,
-    mode
-});
 
 /// Configuration for [`LshIndex`] construction.
 #[derive(Clone, Debug)]
@@ -87,16 +79,7 @@ impl LshIndexBuilder {
         self
     }
 
-    /// Restores a builder from serialized [`IndexParams`].
-    pub fn from_params(params: IndexParams) -> Self {
-        Self {
-            banding: params.banding,
-            seed: params.seed,
-            mode: params.mode,
-        }
-    }
-
-    /// The builder's parameters in serializable form.
+    /// The builder's parameters.
     pub fn params(&self) -> IndexParams {
         IndexParams {
             banding: self.banding,
@@ -254,13 +237,6 @@ impl LshIndex {
     #[inline]
     pub fn set_cluster(&mut self, item: u32, cluster: ClusterId) {
         self.cluster_of[item as usize] = cluster;
-    }
-
-    /// Overwrites all cluster references at once (used after a fresh batch
-    /// assignment pass).
-    pub fn set_all_clusters(&mut self, clusters: &[ClusterId]) {
-        assert_eq!(clusters.len(), self.cluster_of.len());
-        self.cluster_of.copy_from_slice(clusters);
     }
 
     /// Every item's current cluster reference, in item order.
@@ -427,18 +403,6 @@ impl LshIndex {
     #[inline]
     pub fn bucket(&self, band: usize, key: u64) -> &[u32] {
         self.buckets[band].get(&key).map_or(&[], Bucket::members)
-    }
-
-    /// Calls `f` once per bucket: `(band, band key, member item ids)`.
-    /// Members appear in ascending item order (the fill order); the bucket
-    /// order within a band is unspecified. This is the raw view shard
-    /// workers digest into per-key cluster sets (`lshclust_core::shard`).
-    pub fn for_each_bucket<F: FnMut(usize, u64, &[u32])>(&self, mut f: F) {
-        for (band, map) in self.buckets.iter().enumerate() {
-            for (&key, bucket) in map {
-                f(band, key, bucket.members());
-            }
-        }
     }
 
     /// Index-level statistics (bucket counts and fill), for diagnostics.
@@ -749,15 +713,6 @@ mod tests {
     }
 
     #[test]
-    fn set_all_clusters_replaces_references() {
-        let mut index = build(QueryMode::ScanBuckets);
-        index.set_all_clusters(&clusters(&[9, 9, 9, 9]));
-        let mut scratch = index.make_scratch(10);
-        index.shortlist(0, &mut scratch, false);
-        assert_eq!(scratch.clusters, vec![ClusterId(9)]);
-    }
-
-    #[test]
     fn shortlist_has_no_duplicates() {
         // Items in the same cluster collide in many bands; the cluster must
         // still appear once.
@@ -862,25 +817,6 @@ mod tests {
         index.shortlist(0, &mut scratch, false);
         assert!(scratch.clusters.contains(&ClusterId(0)));
         assert!(scratch.clusters.contains(&ClusterId(1)));
-    }
-
-    #[test]
-    fn index_params_round_trip_rebuilds_identically() {
-        let ds = dataset();
-        let builder = LshIndexBuilder::new(Banding::new(8, 2))
-            .seed(99)
-            .mode(QueryMode::Precomputed);
-        let json = serde_json::to_string(&builder.params()).unwrap();
-        let params: IndexParams = serde_json::from_str(&json).unwrap();
-        let a = builder.build(&ds, &clusters(&[0, 1, 2, 3]));
-        let b = LshIndexBuilder::from_params(params).build(&ds, &clusters(&[0, 1, 2, 3]));
-        let mut s1 = a.make_scratch(4);
-        let mut s2 = b.make_scratch(4);
-        for item in 0..4u32 {
-            a.shortlist(item, &mut s1, false);
-            b.shortlist(item, &mut s2, false);
-            assert_eq!(s1.clusters, s2.clusters);
-        }
     }
 
     #[test]
@@ -1012,11 +948,6 @@ mod tests {
                     }
                     assert!(index.bucket(band, 1).is_empty());
                 }
-                let mut seen = vec![BTreeMap::new(); BANDS];
-                index.for_each_bucket(|band, key, members| {
-                    assert!(seen[band].insert(key, members.to_vec()).is_none());
-                });
-                assert_eq!(seen, reference, "{name}");
             }
             // Shortlists, before and after moving every third item.
             for round in 0..2 {

@@ -9,7 +9,8 @@ use lshclust::{
     ClusterSpec, Clusterer, Dataset, DatasetBuilder, Fit, FittedModel, Lsh, MixedDataset,
     ModelError, NumericDataset, Sim, SimSpec, SpecError,
 };
-use lshclust_core::shard::{NumShardInit, ShardInit, ShardWorker};
+use lshclust_categorical::ValueId;
+use lshclust_core::shard::{CatShardInit, NumShardInit, ShardInit, ShardWorker};
 
 const N: usize = 40;
 const DIM: usize = 3;
@@ -221,25 +222,35 @@ fn hierarchy_rejects_an_empty_family() {
 }
 
 #[test]
-fn shard_worker_rejects_an_empty_simhash_banding() {
-    let init = ShardInit {
+fn shard_worker_rejects_rows_of_the_wrong_shape() {
+    // A worker receives rows only: the banding is checked before any worker
+    // spawns (see `empty_simhash_bandings_are_typed_errors_on_numeric_data`).
+    let init = |categorical: Option<CatShardInit>, numeric: Option<NumShardInit>| ShardInit {
         k: 2,
         threads: 1,
         gamma: 0.0,
-        closures: true,
-        categorical: None,
-        numeric: Some(NumShardInit {
-            dim: 1,
-            values: vec![0.0, 1.0],
-            bands: 3,
-            rows: 0,
-            seed: 0,
-            mean: vec![0.5],
-            band_keys: vec![0; 6],
-        }),
+        categorical,
+        numeric,
     };
-    let err = ShardWorker::new(init).err().expect("a typed init error");
-    assert!(err.0.contains("banding 3×0"), "{err}");
+    let numeric = |dim: usize, values: Vec<f64>| Some(NumShardInit { dim, values });
+    let two_rows = Some(CatShardInit {
+        n_attrs: 1,
+        values: vec![ValueId(0), ValueId(1)],
+    });
+    for (init, want) in [
+        (init(None, numeric(0, vec![])), "numeric init with zero dim"),
+        (
+            init(None, numeric(2, vec![0.0, 1.0, 2.0])),
+            "numeric values (3) are not a multiple of dim (2)",
+        ),
+        (
+            init(two_rows, numeric(1, vec![0.0, 1.0, 2.0])),
+            "categorical items (2) disagree with numeric items (3)",
+        ),
+    ] {
+        let err = ShardWorker::new(init).err().expect("a typed init error");
+        assert_eq!(err.0, want);
+    }
 }
 
 #[test]
